@@ -145,16 +145,20 @@ def barycentric_strictify(f: PeriodicPLFunction, delta: Fraction) -> PeriodicPLF
     every intended vertex value and each barycentric simplex has a unique
     winning piece; otherwise the offset and its grading shrink and the
     construction retries.
+
+    The first offset is at most the margin by which each cell's piece wins
+    at its own barycenter (`_min_winning_gap`), the scale of the cells'
+    bending: a larger budget does no extra work, and drops far beyond that
+    scale would inflate the envelope scan of every attempt.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     c = f.cocycle
     if c is None:
         raise ValueError("strictification needs a periodic function")
-    n = c.n
     decomp, cell_pieces, _ = linearity_cells(f)
 
-    delta_t = delta
+    delta_t = min(delta, _min_winning_gap(f))
     ratio = 4
     for _attempt in range(10):
         g = _build_barycentric(f, decomp, cell_pieces, delta_t, ratio)
@@ -162,7 +166,7 @@ def barycentric_strictify(f: PeriodicPLFunction, delta: Fraction) -> PeriodicPLF
             g.strictify_bound = delta_t
             return g
         delta_t = delta_t / 2
-        ratio = ratio * ratio
+        ratio = ratio * 4
     raise StrictificationError("strictification failed")
 
 
@@ -201,7 +205,8 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
             rows = [list(pt) + [Fraction(1)] for pt in pts]
             rhs = [vals[fs] for fs in chain]
             sol = linalg.solve(rows, rhs)
-            assert sol is not None
+            if sol is None:
+                raise StrictificationError("barycentric simplex is degenerate")
             m, cc = sol[:-1], sol[-1]
             center = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
             pieces.append(AffinePiece(tuple(m), cc, anchor=center))

@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, exact JSON (or SVG) out.
 
 Every command is deterministic given its input bytes and flags.  All numbers
-in JSON artifacts are exact rational strings; stage timings are diagnostic
-only and go to stderr so artifacts stay byte-reproducible.  Exit codes:
+in JSON artifacts are exact rational strings; the one timing line of
+`approximate` is diagnostic only and goes to stderr so artifacts stay
+byte-reproducible.  Exit codes:
 0 success, 1 input or validation error, 2 algorithmic failure (perturbation
 retries exhausted, strictification failure, or a failed mass check).
 """
@@ -20,7 +21,7 @@ from .approx import PerturbationError, StrictificationError, approximate, tangen
 from .jsonio import FormatError
 from .ma import ma_pl, total_mass
 from .plfunc import check_cocycle_rule, check_periodic, linearity_cells
-from .skeleton import assemble_measure, check_nondegenerate, vertex_degree
+from .skeleton import assemble_measure, check_nondegenerate, face_degrees
 from .svgplot import render
 
 
@@ -42,14 +43,6 @@ def _write(path, text: str):
 def _fail(kind: str, message: str, code: int) -> int:
     sys.stdout.write(jsonio.dumps({"error": {"kind": kind, "message": message}}))
     return code
-
-
-def _threads_cap() -> int:
-    # The implementation is sequential, which satisfies any requested cap.
-    try:
-        return max(1, int(os.environ.get("TROPMA_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _metric_from_path(path: str):
@@ -113,7 +106,7 @@ def cmd_approximate(args) -> int:
     t0 = time.monotonic()
     f, decomp, cert = approximate(req)
     print(f"approximate: {time.monotonic() - t0:.3f}s "
-          f"(retries {cert.retries_used}, threads<={_threads_cap()})", file=sys.stderr)
+          f"(retries {cert.retries_used})", file=sys.stderr)
     out = {
         "function": jsonio.enc_function(f),
         "decomposition": jsonio.enc_decomposition(decomp),
@@ -151,15 +144,12 @@ def cmd_degree(args) -> int:
     metric = _metric_from_path(args.metric)
     if metric == "canonical":
         return _fail("validation", "degree needs a PL metric file", 1)
-    from .skeleton import _pullback_atoms
     rows = []
     total = Fraction(0)
     for face in sorted(spec.faces, key=lambda f: f.id):
         if not check_nondegenerate(spec, face):
             continue
-        for y, _vol in _pullback_atoms(spec.cocycle, metric, face):
-            xi = face.frame.embed(y)
-            deg = vertex_degree(spec, face, metric, xi)
+        for xi, deg in face_degrees(spec, face, metric):
             rows.append({"face": face.id, "at": jsonio.enc_vec(xi),
                          "degree": jsonio.enc_q(deg)})
             total += deg

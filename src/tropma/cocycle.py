@@ -7,6 +7,7 @@ group is fixed to Q throughout, so every quantity here is an exact rational.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -88,13 +89,18 @@ class Cocycle:
 
     def linear_part_on_basis(self) -> Vec:
         """ℓ(λ_i) = z_{λ_i}(0) - b(λ_i,λ_i)/2 for each basis vector."""
+        return self._linear_part
+
+    @functools.cached_property
+    def _linear_part(self) -> Vec:
         return tuple(z - self.bilinear(lam, lam) / 2
                      for z, lam in zip(self.z0, self.periods))
 
     def linear_covector(self) -> Vec:
         """The covector ℓ with <ℓ, λ_i> = z_{λ_i}(0) - b(λ_i,λ_i)/2."""
         ell = linalg.solve(self.periods, self.linear_part_on_basis())
-        assert ell is not None
+        if ell is None:
+            raise ValueError("period vectors are linearly dependent")
         return ell
 
     def covolume(self) -> Fraction:
@@ -136,7 +142,8 @@ class Cocycle:
     def lattice_coordinates(self, x: Sequence[Fraction]) -> Vec:
         """Coordinates t with x = Σ t_i λ_i."""
         t = linalg.solve(self.period_columns(), vec(x))
-        assert t is not None
+        if t is None:
+            raise ValueError("period vectors are linearly dependent")
         return t
 
     def canonicalize(self, x: Sequence[Fraction]) -> tuple[Vec, tuple[int, ...]]:

@@ -44,6 +44,12 @@ def dec_q(v: Any) -> Fraction:
     raise FormatError(f"expected a rational, got {type(v).__name__}")
 
 
+def dec_bool(v: Any, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise FormatError(f"{what} must be JSON true or false, got {v!r}")
+    return v
+
+
 def enc_vec(v: Vec) -> list:
     return [enc_q(x) for x in v]
 
@@ -107,7 +113,7 @@ def dec_cocycle(d: Any) -> Cocycle:
     if not isinstance(n, int) or n < 1:
         raise FormatError("cocycle field 'n' must be a positive integer")
     c = Cocycle.make(dec_mat(d["periods"]), dec_mat(d["b"]), dec_vec(d["z0"]),
-                     bool(d.get("polarized", True)))
+                     dec_bool(d.get("polarized", True), "cocycle field 'polarized'"))
     if c.n != n:
         raise FormatError("cocycle field 'n' does not match the period count")
     return c
@@ -211,7 +217,8 @@ def dec_skeleton(d: Any) -> SkeletonSpec:
             deg_h=dec_q(fd["degH"]),
             f_aff_linear=dec_mat(fa["L"]),
             f_aff_offset=dec_vec(fa["t"]),
-            abelian_nondegenerate=bool(fd["abelian_nondegenerate"]),
+            abelian_nondegenerate=dec_bool(fd["abelian_nondegenerate"],
+                                           "face field 'abelian_nondegenerate'"),
             boundary_ids=tuple(fd.get("boundary", ())),
         ))
     gluing = tuple(Gluing(str(g["a"]), str(g["b"]), dec_mat(g["L"]), dec_vec(g["t"]))

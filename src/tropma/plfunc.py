@@ -21,11 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
-from .linalg import Vec, dot, vec, vsub
+from .linalg import Mat, Vec, dot, vec, vsub
 from .polyhedra import (Polytope, _canon_eq, clip_polygon, hull, intersect,
                         vertices_of_hrep)
 
@@ -200,11 +200,80 @@ def _box_corners(lo: Vec, hi: Vec) -> list[Vec]:
             for bits in itertools.product((0, 1), repeat=len(lo))]
 
 
+class _QuadraticData(NamedTuple):
+    """Per-cocycle data of the translate values.
+
+    The translate of a piece p by lattice coordinates k has the value
+    p(x) + <h, k> - kᵀBk/2 at x, with B = periods·b·periodsᵀ and
+    h = pb·x - periods·m_p + ℓ, where pb = periods·b and ℓ is the cocycle's
+    linear part on the period basis.  B = b_int / b_den over Python ints.
+    """
+
+    big_b_inv: Mat
+    ell: Vec
+    pb: Mat
+    b_den: int
+    b_int: tuple[tuple[int, ...], ...]
+
+
 @functools.lru_cache(maxsize=64)
-def _cocycle_quadratic_data(c: Cocycle):
-    big_b = linalg.matmul(linalg.matmul(c.periods, c.b), linalg.transpose(c.periods))
-    big_b_inv = linalg.inverse(big_b)
-    return big_b, big_b_inv, c.linear_part_on_basis()
+def _cocycle_quadratic_data(c: Cocycle) -> _QuadraticData:
+    pb = linalg.matmul(c.periods, c.b)
+    big_b = linalg.matmul(pb, linalg.transpose(c.periods))
+    b_den = linalg.common_denominator(x for row in big_b for x in row)
+    b_int = tuple(tuple(_scaled_int(x, b_den) for x in row) for row in big_b)
+    return _QuadraticData(linalg.inverse(big_b), c.linear_part_on_basis(), pb, b_den, b_int)
+
+
+def _scaled_int(x: Fraction, den: int) -> int:
+    """x·den for a den that x's denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def _quad_form(q_int: Sequence[Sequence[int]], k: Sequence[int]) -> int:
+    """kᵀQk over Python ints."""
+    return sum(ki * sum(a * kj for a, kj in zip(row, k)) for ki, row in zip(k, q_int) if ki)
+
+
+def _integer_form(q: _QuadraticData, forms, extra: Sequence[Fraction] = ()):
+    """Scale (h, base) forms and extra values to ints over one common denominator.
+
+    Returns (int forms, int extras, Q) with den·B = Q, so that for each form
+    2·den·(base + <h, k> - kᵀBk/2) = base' + <h', k> - kᵀQk.
+    """
+    den = math.lcm(q.b_den, linalg.common_denominator(
+        itertools.chain(extra, (v for h, base in forms for v in (*h, base)))))
+    two = 2 * den
+    int_forms = [(tuple(_scaled_int(v, two) for v in h), _scaled_int(base, two))
+                 for h, base in forms]
+    int_extra = [_scaled_int(v, two) for v in extra]
+    scale = den // q.b_den
+    q_int = tuple(tuple(scale * a for a in row) for row in q.b_int)
+    return int_forms, int_extra, q_int
+
+
+def _translate_forms(f: PeriodicPLFunction, q: _QuadraticData, points: Sequence[Vec]
+                     ) -> list[list[tuple[Vec, Fraction]]]:
+    """(h, p(x)) for each representative p (outer) and point x (inner)."""
+    pbx = [linalg.matvec(q.pb, x) for x in points]
+    out = []
+    for p in f.pieces:
+        g = vsub(linalg.matvec(f.cocycle.periods, p.m), q.ell)
+        out.append([(vsub(bx, g), p.value(x)) for bx, x in zip(pbx, points)])
+    return out
+
+
+def _ellipsoid_box(q: _QuadraticData, h: Vec, r: Fraction) -> Optional[list[range]]:
+    """Bounding box of the integer k with kᵀBk/2 - <h,k> <= r, or None if empty."""
+    k0 = linalg.matvec(q.big_b_inv, h)
+    big_r = dot(h, k0) / 2 + r
+    if big_r < 0:
+        return None
+    ranges = []
+    for i, ki in enumerate(k0):
+        s = linalg.ceil_sqrt(2 * big_r * q.big_b_inv[i][i])
+        ranges.append(range(linalg.ceil_frac(ki) - s, linalg.floor_frac(ki) + s + 1))
+    return ranges
 
 
 def _candidate_ks(f: PeriodicPLFunction, points: Sequence[Vec], t0: Fraction,
@@ -213,48 +282,43 @@ def _candidate_ks(f: PeriodicPLFunction, points: Sequence[Vec], t0: Fraction,
 
     For each representative p and point x, the translates with value >= t0 at
     x satisfy kᵀBk/2 - <h,k> <= p(x) - t0 for B = periods·b·periodsᵀ; the
-    integer points of that ellipsoid are read off its bounding box.
+    integer points of that ellipsoid are read off its bounding box.  With
+    keep_h the (h, p(x)) form of each (piece, point) pair is returned too.
     """
-    c = f.cocycle
-    n = c.n
-    _, big_b_inv, ell = _cocycle_quadratic_data(c)
+    q = _cocycle_quadratic_data(f.cocycle)
     found: set[tuple[int, tuple[int, ...]]] = set()
     hmap: dict[tuple[int, int], tuple[Vec, Fraction]] = {}
-    for pi, p in enumerate(f.pieces):
-        for xi, x in enumerate(points):
-            bx = linalg.matvec(c.b, x)
-            h = linalg.vadd(linalg.matvec(c.periods, vsub(bx, p.m)), ell)
-            base = p.value(x)
+    for pi, row in enumerate(_translate_forms(f, q, points)):
+        for xi, (h, base) in enumerate(row):
             if keep_h:
                 hmap[(pi, xi)] = (h, base)
-            r = base - t0
-            k0 = linalg.matvec(big_b_inv, h)
-            big_r = dot(h, k0) / 2 + r
-            if big_r < 0:
-                continue
-            ranges = []
-            for i in range(n):
-                s = linalg.ceil_sqrt(2 * big_r * big_b_inv[i][i])
-                ranges.append(range(linalg.ceil_frac(k0[i]) - s,
-                                    linalg.floor_frac(k0[i]) + s + 1))
-            for k in itertools.product(*ranges):
-                found.add((pi, k))
+            box = _ellipsoid_box(q, h, base - t0)
+            if box is not None:
+                found.update((pi, k) for k in itertools.product(*box))
     return found, hmap
 
 
 def _point_envelope_entry(f: PeriodicPLFunction, x: Vec) -> AffinePiece:
-    """One translate attaining the envelope at the single point x."""
-    c = f.cocycle
-    t0 = max(p.value(x) for p in f.pieces)
-    cand, _ = _candidate_ks(f, [x], t0)
-    best_val = None
+    """One translate attaining the envelope at the single point x.
+
+    The candidates are scored by the integer form of their values at x; the
+    first maximum in (representative, k) order wins, and only it is translated.
+    """
+    q = _cocycle_quadratic_data(f.cocycle)
+    forms = [row[0] for row in _translate_forms(f, q, [x])]
+    t0 = max(base for _, base in forms)
+    int_forms, _, q_int = _integer_form(q, forms)
     best = None
-    for pi, k in sorted(cand):
-        piece = translate_piece(c, f.pieces[pi], k)
-        v = piece.value(x)
-        if best_val is None or v > best_val:
-            best_val, best = v, piece
-    return best
+    winner = None
+    for pi, ((h, base), (h_int, base_int)) in enumerate(zip(forms, int_forms)):
+        box = _ellipsoid_box(q, h, base - t0)
+        if box is None:
+            continue
+        for k in itertools.product(*box):
+            v = base_int + sum(a * b for a, b in zip(h_int, k)) - _quad_form(q_int, k)
+            if best is None or v > best:
+                best, winner = v, (pi, k)
+    return translate_piece(f.cocycle, f.pieces[winner[0]], winner[1])
 
 
 def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> list[TranslatedPiece]:
@@ -265,30 +329,36 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> list[Translat
     bound the envelope from below everywhere) then discard every candidate
     that provably stays below the envelope on the whole box.  The survivors
     are a superset of every argmax set over the box, so evaluation results do
-    not depend on the pruning.
+    not depend on the pruning.  The comparisons run on the integer form of
+    the candidates' values at the box corners, and only survivors are
+    translated.
     """
     c = f.cocycle
     n = c.n
+    q = _cocycle_quadratic_data(c)
     corners = _box_corners(lo, hi)
     t0 = max(min(p.value(x) for x in corners) for p in f.pieces)
     cand, hmap = _candidate_ks(f, corners, t0, keep_h=True)
 
-    big_b, _, _ = _cocycle_quadratic_data(c)
     grid = 3 if n <= 2 else 2
     gridpts = []
     for steps in itertools.product(range(grid), repeat=n):
         gridpts.append(tuple(a + (b - a) * Fraction(2 * s + 1, 2 * grid)
                              for a, b, s in zip(lo, hi, steps)))
     minorants = [_point_envelope_entry(f, gp) for gp in gridpts]
-    mvals = [[g.value(x) for x in corners] for g in minorants]
+    mvals = [g.value(x) for g in minorants for x in corners]
+
+    nc = len(corners)
+    forms = [hmap[(pi, xi)] for pi in range(len(f.pieces)) for xi in range(nc)]
+    int_forms, int_mvals, q_int = _integer_form(q, forms, mvals)
+    by_rep = [int_forms[i:i + nc] for i in range(0, len(int_forms), nc)]
+    floors = [int_mvals[i:i + nc] for i in range(0, len(int_mvals), nc)]
 
     out = []
     for pi, k in sorted(cand):
-        kf = vec(k)
-        quad = dot(kf, linalg.matvec(big_b, kf)) / 2
-        vals = [hmap[(pi, xi)][1] + dot(hmap[(pi, xi)][0], kf) - quad
-                for xi in range(len(corners))]
-        if all(any(v >= mv for v, mv in zip(vals, row)) for row in mvals):
+        quad = _quad_form(q_int, k)
+        vals = [base + sum(a * b for a, b in zip(h, k)) - quad for h, base in by_rep[pi]]
+        if all(any(v >= mv for v, mv in zip(vals, row)) for row in floors):
             out.append(TranslatedPiece(translate_piece(c, f.pieces[pi], k), pi, k))
     return out
 
@@ -676,7 +746,9 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
             s = set(arg)
             tie = s if tie is None else (tie & s)
             neighbors |= s
-        assert tie and ei in tie
+        if not tie or ei not in tie:
+            raise RuntimeError("cell certificate failed: the walked entry does not "
+                               "attain the envelope on its whole cell")
 
         cell = hull(pts)
         bary = cell.barycenter()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import linalg
 from .cocycle import Cocycle
@@ -147,11 +147,11 @@ def _pullback_pieces(c: Cocycle, metric: PeriodicPLFunction,
     return sorted(seen.values(), key=lambda p: (p.m, p.c))
 
 
-def _pullback_atoms(c: Cocycle, metric: PeriodicPLFunction, face: SkeletonFace
+def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
                     ) -> list[tuple[Vec, Fraction]]:
-    """Atoms (frame coordinates, dual volume) of MA(metric∘f_aff) in relint."""
+    """Atoms (frame coordinates, dual volume) of MA(metric∘f_aff) in relint,
+    given the pullback pieces of the metric on the face."""
     k = face.frame.dim
-    pieces = _pullback_pieces(c, metric, face)
     h = PeriodicPLFunction(None, pieces)
     carr_y = hull([face.frame.coordinates(v) for v in face.carrier.vertices])
     lo, hi = carr_y.bbox()
@@ -202,7 +202,7 @@ def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Meas
                                      face.f_aff_offset, face.carrier, face.frame)
         return mu.scaled(scale, label=face.id)
     atoms = []
-    for y, vol in _pullback_atoms(spec.cocycle, metric, face):
+    for y, vol in _pullback_atoms(face, _pullback_pieces(spec.cocycle, metric, face)):
         atoms.append(Atom(face.frame.embed(y), scale * vol, label=face.id))
     return Measure(atoms=tuple(atoms))
 
@@ -215,19 +215,34 @@ def assemble_measure(spec: SkeletonSpec, metric: Metric) -> Measure:
     return out
 
 
+def face_degrees(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunction
+                 ) -> list[tuple[Vec, Fraction]]:
+    """(vertex, degree) at every pullback vertex in the face's relative
+    interior, with the pullback built once for the whole face."""
+    pieces = _pullback_pieces(spec.cocycle, metric, face)
+    out = []
+    for y, _vol in _pullback_atoms(face, pieces):
+        xi = face.frame.embed(y)
+        out.append((xi, vertex_degree(spec, face, metric, xi, pieces)))
+    return out
+
+
 def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
-                  metric: PeriodicPLFunction, xi: Sequence) -> Fraction:
+                  metric: PeriodicPLFunction, xi: Sequence,
+                  pieces: Optional[Sequence[AffinePiece]] = None) -> Fraction:
     """Degree of the component at a pullback vertex, (d!/e!)·deg_H·atom mass.
 
     Requires the vertex to be transversal: the metric complex's face whose
     relative interior contains f_aff(xi) must have codimension dim(carrier).
+    `pieces` are the face's pullback pieces, built here when not given.
     """
     xi = vec(xi)
     if not face.carrier.contains_relint(xi):
         raise ValueError("xi must lie in the relative interior of the carrier")
     y = face.frame.coordinates(xi)
 
-    pieces = _pullback_pieces(spec.cocycle, metric, face)
+    if pieces is None:
+        pieces = _pullback_pieces(spec.cocycle, metric, face)
     h = PeriodicPLFunction(None, pieces)
     _, arg = h.scan_for(y, y).eval(y)
     slopes = sorted({h.pieces[i].m for i in arg})

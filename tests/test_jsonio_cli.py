@@ -186,3 +186,100 @@ class TestCli:
         p = tmp_path / "req.json"
         p.write_text(json.dumps(req))
         assert cli.main(["approximate", "--in", str(p)]) == 2
+
+
+SQUARE_FACE = {"id": "top",
+               "carrier": {"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+               "frame": {"basepoint": [0, 0], "basis": [[1, 0], [0, 1]]},
+               "e": 0, "degH": 1,
+               "f_aff": {"L": [[1, 0], [0, 1]], "t": ["1/7", "2/9"]},
+               "abelian_nondegenerate": True, "boundary": []}
+ID2 = {"n": 2, "periods": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]], "z0": ["1/2", "1/2"]}
+
+
+class TestStrictBooleans:
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_polarized_must_be_a_json_bool(self, tmp_path, capsys, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**ID2, "polarized": value}))
+        assert cli.main(["validate", "--in", str(p), "--kind", "cocycle"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert "'polarized' must be JSON true or false" in err["message"]
+
+    @pytest.mark.parametrize("value", ["no", "yes", 0, 1, None])
+    def test_abelian_nondegenerate_must_be_a_json_bool(self, tmp_path, capsys, value):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"cocycle": ID2, "d": 2,
+                                 "faces": [{**SQUARE_FACE, "abelian_nondegenerate": value}]}))
+        assert cli.main(["validate", "--in", str(p), "--kind", "skeleton"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert "'abelian_nondegenerate' must be JSON true or false" in err["message"]
+
+    def test_json_bools_accepted(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**ID2, "polarized": True}))
+        assert cli.main(["validate", "--in", str(p), "--kind", "cocycle"]) == 0
+
+
+def test_large_eps_finishes_quickly(tmp_path):
+    # a budget far above what the target needs must not inflate strictification
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"cocycle": ID2,
+                               "sigma": [{"vertices": [[0, 0], [1, 0], [0, 1]]}]}))
+    p = subprocess.run([sys.executable, "-m", "tropma.cli", "approximate", "--in", str(req),
+                        "--eps", "1000", "--seed", "1"],
+                       capture_output=True, text=True, timeout=30,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+    out = json.loads(p.stdout)
+    if p.returncode == 0:
+        assert jsonio.dec_q(out["certificate"]["sup_error_bound"]) <= 1000
+    else:
+        assert p.returncode == 2 and out["error"]["kind"] == "algorithmic"
+
+
+def test_degree_builds_the_pullback_once_per_face(tmp_path, capsys, monkeypatch, two_tate):
+    import tropma.skeleton as sk
+    from tropma import vertex_degree
+
+    calls = []
+    original = sk._pullback_pieces
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sk, "_pullback_pieces", counting)
+    spec_p = tmp_path / "spec.json"
+    spec_p.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
+    f = tangent_pl(two_tate, 2)
+    fp = tmp_path / "f.json"
+    fp.write_text(jsonio.dumps(jsonio.enc_function(f)))
+    assert cli.main(["degree", "--in", str(spec_p), "--metric", str(fp)]) == 0
+    rows = json.loads(capsys.readouterr().out)["degrees"]
+    assert len(rows) == 4 and len(calls) == 1
+
+    spec = jsonio.dec_skeleton(json.loads(spec_p.read_text()))
+    metric = jsonio.dec_function(json.loads(fp.read_text()))
+    for row in rows:
+        xi = jsonio.dec_vec(row["at"])
+        assert jsonio.enc_q(vertex_degree(spec, spec.faces[0], metric, xi)) == row["degree"]
+
+
+def test_no_assert_statements_in_the_package():
+    # certificates are explicit checks, so they still run under python -O
+    import ast
+    from pathlib import Path
+
+    pkg = Path(__file__).resolve().parents[1] / "src" / "tropma"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(pkg.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
