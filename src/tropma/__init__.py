@@ -11,11 +11,11 @@ from .polyhedra import (AffineLatticeFrame, AmbientLattice, FrameMismatchError,
                         Polytope, affine_data, faces, hull, intersect,
                         lattice_volume)
 from .cocycle import Cocycle, UnpolarizedError
-from .plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
-                     TransversalityReport, check_cocycle_rule, check_periodic,
-                     check_transversal, evaluate, linearity_cells,
-                     translate_piece)
-from .approx import (ApproxCertificate, ApproxRequest, approximate,
+from .plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition,
+                     PeriodicPLFunction, TransversalityReport,
+                     check_cocycle_rule, check_periodic, check_transversal,
+                     evaluate, linearity_cells, translate_piece)
+from .approx import (ApproxCertificate, ApproxRequest, StageErrors, approximate,
                      barycentric_strictify, perturb_generic, tangent_pl)
 from .ma import (Measure, Subdifferential, ma_pl, ma_quadratic_restricted,
                  pushforward, subdifferential, total_mass)
@@ -27,10 +27,10 @@ __all__ = [
     "AffineLatticeFrame", "AmbientLattice", "FrameMismatchError", "Polytope",
     "affine_data", "faces", "hull", "intersect", "lattice_volume",
     "Cocycle", "UnpolarizedError",
-    "AffinePiece", "PeriodicDecomposition", "PeriodicPLFunction",
+    "AffinePiece", "CellWalkError", "PeriodicDecomposition", "PeriodicPLFunction",
     "TransversalityReport", "check_cocycle_rule", "check_periodic",
     "check_transversal", "evaluate", "linearity_cells", "translate_piece",
-    "ApproxCertificate", "ApproxRequest", "approximate",
+    "ApproxCertificate", "ApproxRequest", "StageErrors", "approximate",
     "barycentric_strictify", "perturb_generic", "tangent_pl",
     "Measure", "Subdifferential", "ma_pl", "ma_quadratic_restricted",
     "pushforward", "subdifferential", "total_mass",

@@ -6,7 +6,9 @@ mesh (replacing the abstract uniform-approximation input), a barycentric
 strictification that breaks flat ties by lowering face barycenters, and a
 random rational perturbation accepted only when exact certificates hold:
 certified sup error, strict convexity, periodicity of the cell complex and
-transversality against the prescribed polytopes.
+transversality against the prescribed polytopes.  Strictification runs only
+when the cell walk does not already certify the stage-1 function as strictly
+convex; tangent envelopes are certified strict, so canonical targets skip it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .cocycle import Cocycle
 from .linalg import Vec, dot, vsub
-from .plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
+from .plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, PeriodicPLFunction,
                      TransversalityReport, _closure_under_faces, _fundamental_bbox,
                      _intersect_fast, _translates_meeting, check_periodic,
                      check_transversal, evaluate, linearity_cells, translate_piece)
@@ -61,12 +63,23 @@ class ApproxRequest:
 
 
 @dataclass(frozen=True)
+class StageErrors:
+    """Certified sup error of each stage; None for a stage that did not run."""
+
+    tangent: Optional[Fraction] = None
+    strictify: Optional[Fraction] = None
+    perturb: Optional[Fraction] = None
+
+
+@dataclass(frozen=True)
 class ApproxCertificate:
     sup_error_bound: Fraction
     strictly_convex: bool
     transversal: Optional[TransversalityReport]
     periodic: bool
     retries_used: int
+    stage_errors: StageErrors = StageErrors()
+    mesh_k: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -378,7 +391,7 @@ def perturb_generic(f: PeriodicPLFunction, sigma: Sequence[Polytope], eps: Fract
         f2 = PeriodicPLFunction(c, pieces)
         try:
             decomp2, map2, strict2 = linearity_cells(f2)
-        except RuntimeError:
+        except CellWalkError:
             last_failure = "cell extraction"
             continue
         if not strict2:
@@ -402,7 +415,8 @@ def perturb_generic(f: PeriodicPLFunction, sigma: Sequence[Polytope], eps: Fract
             if not transversal.ok:
                 last_failure = "transversality"
                 continue
-        cert = ApproxCertificate(err, True, transversal, True, attempt)
+        cert = ApproxCertificate(err, True, transversal, True, attempt,
+                                 StageErrors(perturb=err))
         return f2, cert
     raise PerturbationError(last_failure)
 
@@ -430,29 +444,39 @@ def approximate(req: ApproxRequest
                 ) -> tuple[PeriodicPLFunction, PeriodicDecomposition, ApproxCertificate]:
     """Tangent envelope (if the target is canonical) -> strictify -> perturb.
 
-    The error budget is split eps/3 per stage; the certificate's bound is the
-    exact sum of the three certified stage errors, hence <= eps.
+    The tangent mesh is the coarsest whose gap fits eps/2.  Strictification
+    runs only when the cell walk does not certify the stage-1 function as
+    strictly convex: it then gets half of what stage 1 left, and the
+    perturbation the other half; otherwise the perturbation gets all of it.
+    The certificate's bound is the exact sum of the certified stage errors,
+    hence < eps.
     """
-    eps3 = req.eps / 3
+    k = None
     if req.cocycle is not None:
         c = req.cocycle
+        half = req.eps / 2
         f1 = tangent_pl(c, 1)
         gap1 = tangent_gap(f1)
-        k = max(1, linalg.ceil_sqrt(gap1 / eps3))
-        while gap1 > k * k * eps3:
+        k = max(1, linalg.ceil_sqrt(gap1 / half))
+        while gap1 > k * k * half:
             k += 1
         if k > 1:
             f1 = tangent_pl(c, k)
         stage1 = tangent_gap(f1)
     else:
         f1 = req.function
-        stage1 = Fraction(0)
+        stage1 = None
 
-    f2 = barycentric_strictify(f1, eps3)
-    stage2 = f2.strictify_bound
+    rest = req.eps if stage1 is None else req.eps - stage1
+    stage2 = None
+    if not linearity_cells(f1)[2]:
+        rest = rest / 2
+        f1 = barycentric_strictify(f1, rest)
+        stage2 = f1.strictify_bound
 
-    f3, cert = perturb_generic(f2, req.sigma, eps3, req.rng_seed, req.max_retries)
+    f3, cert = perturb_generic(f1, req.sigma, rest, req.rng_seed, req.max_retries)
     decomp3, _, _ = linearity_cells(f3)
-    total = stage1 + stage2 + cert.sup_error_bound
-    cert = replace(cert, sup_error_bound=total)
+    stages = StageErrors(stage1, stage2, cert.sup_error_bound)
+    total = sum(e for e in (stage1, stage2, cert.sup_error_bound) if e is not None)
+    cert = replace(cert, sup_error_bound=total, stage_errors=stages, mesh_k=k)
     return f3, decomp3, cert

@@ -5,7 +5,8 @@ in JSON artifacts are exact rational strings; the one timing line of
 `approximate` is diagnostic only and goes to stderr so artifacts stay
 byte-reproducible.  Exit codes:
 0 success, 1 input or validation error, 2 algorithmic failure (perturbation
-retries exhausted, strictification failure, or a failed mass check).
+retries exhausted, strictification failure, a failed cell walk, or a failed
+mass check).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import jsonio
 from .approx import PerturbationError, StrictificationError, approximate, tangent_pl
 from .jsonio import FormatError
 from .ma import ma_pl, total_mass
-from .plfunc import check_cocycle_rule, check_periodic, linearity_cells
+from .plfunc import CellWalkError, check_cocycle_rule, check_periodic, linearity_cells
 from .skeleton import assemble_measure, check_nondegenerate, face_degrees
 from .svgplot import render
 
@@ -117,12 +118,14 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_ma(args) -> int:
+    if args.k < 1:
+        return _fail("validation", "--k must be >= 1", 1)
     data = _read(args.infile)
     if "pieces" in data:
         f = jsonio.dec_function(data)
     else:
         c = jsonio.dec_cocycle(data if "periods" in data else data["cocycle"])
-        f = tangent_pl(c, args.k or 1)
+        f = tangent_pl(c, args.k)
     region = None
     if args.region:
         region = jsonio.dec_polytope(_read(args.region))
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ma", help="Monge-Ampere measure of a PL function")
     common(p)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=int, default=1,
                    help="tangent mesh refinement when the input is a cocycle")
     p.add_argument("--region", default=None, help="polytope JSON restricting the atoms")
     p.add_argument("--fundamental", action="store_true",
@@ -273,7 +276,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (PerturbationError, StrictificationError) as e:
+    except (PerturbationError, StrictificationError, CellWalkError) as e:
         return _fail("algorithmic", str(e), 2)
     except (FormatError, ValueError, KeyError, OSError) as e:
         return _fail("validation", str(e), 1)

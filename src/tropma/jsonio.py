@@ -44,6 +44,12 @@ def dec_q(v: Any) -> Fraction:
     raise FormatError(f"expected a rational, got {type(v).__name__}")
 
 
+def dec_int(v: Any, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise FormatError(f"{what} must be a JSON integer, got {v!r}")
+    return v
+
+
 def dec_bool(v: Any, what: str) -> bool:
     if not isinstance(v, bool):
         raise FormatError(f"{what} must be JSON true or false, got {v!r}")
@@ -82,6 +88,8 @@ def dec_polytope(d: Any) -> Polytope:
     verts = [dec_vec(v) for v in d["vertices"]]
     if not verts:
         raise FormatError("a polytope needs at least one vertex")
+    if len({len(v) for v in verts}) != 1:
+        raise FormatError("polytope vertices must all have the same dimension")
     return hull(verts)
 
 
@@ -109,8 +117,8 @@ def dec_cocycle(d: Any) -> Cocycle:
     for key in ("n", "periods", "b", "z0"):
         if key not in d:
             raise FormatError(f"cocycle is missing {key!r}")
-    n = d["n"]
-    if not isinstance(n, int) or n < 1:
+    n = dec_int(d["n"], "cocycle field 'n'")
+    if n < 1:
         raise FormatError("cocycle field 'n' must be a positive integer")
     c = Cocycle.make(dec_mat(d["periods"]), dec_mat(d["b"]), dec_vec(d["z0"]),
                      dec_bool(d.get("polarized", True), "cocycle field 'polarized'"))
@@ -131,8 +139,13 @@ def dec_function(d: Any) -> PeriodicPLFunction:
         raise FormatError("a function is encoded as {\"cocycle\", \"pieces\"}")
     pieces = []
     for p in d["pieces"]:
+        if not isinstance(p, dict):
+            raise FormatError("a piece is encoded as {\"m\", \"c\"}")
         pieces.append(AffinePiece(dec_vec(p["m"]), dec_q(p["c"])))
     c = dec_cocycle(d["cocycle"]) if "cocycle" in d else None
+    dims = {len(p.m) for p in pieces}
+    if len(dims) > 1 or (c is not None and dims and dims != {c.n}):
+        raise FormatError("piece slopes must all have one dimension, the cocycle's")
     return PeriodicPLFunction(c, pieces)
 
 
@@ -213,7 +226,7 @@ def dec_skeleton(d: Any) -> SkeletonSpec:
             id=str(fd["id"]),
             carrier=dec_polytope(fd["carrier"]),
             frame=dec_frame(fd["frame"]),
-            e=int(fd["e"]),
+            e=dec_int(fd["e"], "face field 'e'"),
             deg_h=dec_q(fd["degH"]),
             f_aff_linear=dec_mat(fa["L"]),
             f_aff_offset=dec_vec(fa["t"]),
@@ -223,7 +236,8 @@ def dec_skeleton(d: Any) -> SkeletonSpec:
         ))
     gluing = tuple(Gluing(str(g["a"]), str(g["b"]), dec_mat(g["L"]), dec_vec(g["t"]))
                    for g in d.get("gluing", ()))
-    return SkeletonSpec(dec_cocycle(d["cocycle"]), int(d["d"]), tuple(faces), gluing)
+    return SkeletonSpec(dec_cocycle(d["cocycle"]), dec_int(d["d"], "skeleton field 'd'"),
+                        tuple(faces), gluing)
 
 
 # -- approximation requests and certificates ------------------------------------
@@ -242,9 +256,13 @@ def dec_request(d: Any, eps=None, seed=None, max_retries=None) -> ApproxRequest:
     else:
         raise FormatError("request needs a 'cocycle' or a 'function' target")
     sigma = tuple(dec_polytope(s) for s in d.get("sigma", ()))
+    n = cocycle.n if cocycle is not None else function.n
+    if any(s.ambient_dim != n for s in sigma):
+        raise FormatError(f"sigma polytopes must lie in the target's dimension {n}")
     eps = eps if eps is not None else dec_q(d.get("eps", "1/4"))
-    seed = seed if seed is not None else int(d.get("seed", 0))
-    max_retries = max_retries if max_retries is not None else int(d.get("max_retries", 50))
+    seed = seed if seed is not None else dec_int(d.get("seed", 0), "request field 'seed'")
+    max_retries = (max_retries if max_retries is not None
+                   else dec_int(d.get("max_retries", 50), "request field 'max_retries'"))
     return ApproxRequest(cocycle=cocycle, function=function, sigma=sigma,
                          eps=eps, rng_seed=seed, max_retries=max_retries)
 
@@ -269,6 +287,9 @@ def enc_certificate(cert: ApproxCertificate) -> dict:
         "periodic": cert.periodic,
         "transversal": enc_transversality(cert.transversal),
         "retries_used": cert.retries_used,
+        "stage_errors": {name: None if err is None else enc_q(err)
+                         for name, err in vars(cert.stage_errors).items()},
+        "mesh_k": cert.mesh_k,
     }
 
 

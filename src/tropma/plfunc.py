@@ -613,6 +613,10 @@ class _CollarTooSmall(Exception):
     pass
 
 
+class CellWalkError(RuntimeError):
+    """The cell walk could not certify the cells of linearity."""
+
+
 def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
                     init: Sequence[int] = ()) -> Optional[list[Vec]]:
     """Points spanning {ω in box : entry ei attains the envelope}, or None.
@@ -702,7 +706,7 @@ def linearity_cells(f: PeriodicPLFunction):
         except _CollarTooSmall:
             collar = min(collar * 2, collar + width)
     else:
-        raise RuntimeError("cell walk failed to stabilize; is b positive definite?")
+        raise CellWalkError("cell walk failed to stabilize; is b positive definite?")
     f._cells_cache = result
     return result
 
@@ -747,7 +751,7 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
             tie = s if tie is None else (tie & s)
             neighbors |= s
         if not tie or ei not in tie:
-            raise RuntimeError("cell certificate failed: the walked entry does not "
+            raise CellWalkError("cell certificate failed: the walked entry does not "
                                "attain the envelope on its whole cell")
 
         cell = hull(pts)

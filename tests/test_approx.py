@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropma import (AffinePiece, PeriodicPLFunction, approximate,
+from tropma import (AffinePiece, CellWalkError, PeriodicPLFunction, approximate,
                     barycentric_strictify, check_cocycle_rule, check_periodic,
                     check_transversal, evaluate, faces, hull, linearity_cells,
                     perturb_generic, tangent_pl)
@@ -131,6 +131,27 @@ class TestPerturbGeneric:
         with pytest.raises(ValueError, match="strictly convex"):
             perturb_generic(f, (), F(1, 4), seed=0, max_retries=5)
 
+    @pytest.mark.parametrize("failure, outcome", [
+        (CellWalkError("cell walk failed to stabilize"), PerturbationError),
+        (RuntimeError("not a cell-walk failure"), RuntimeError)])
+    def test_only_cell_walk_failures_are_retried(self, tate, monkeypatch, failure,
+                                                 outcome):
+        import tropma.approx as ax
+        f = tangent_pl(tate, 2)
+        real = ax.linearity_cells
+
+        def failing_on_draws(g):
+            if g is not f:
+                raise failure
+            return real(g)
+
+        monkeypatch.setattr(ax, "linearity_cells", failing_on_draws)
+        with pytest.raises(outcome) as info:
+            perturb_generic(f, (), F(1, 12), seed=0, max_retries=2)
+        assert info.type is outcome
+        if outcome is PerturbationError:
+            assert info.value.last_failure == "cell extraction"
+
     def test_retries_exhausted(self, tate, monkeypatch):
         import tropma.approx as ax
         monkeypatch.setattr(ax, "_rand_frac", lambda rng, r, grain=4096: F(0))
@@ -165,8 +186,14 @@ class TestGenericityConditions:
 class TestApproximate:
     def test_tate_stage_arithmetic(self, tate, tate_run):
         f, decomp, cert = tate_run
-        # eps/3 = 1/12: the k=1 gap 1/8 is too big, k=2 gives 1/32
-        assert len(tangent_pl(tate, 2).pieces) == 2
+        # eps/2 = 1/8: the k=1 gap 1/8 fits, so stage 1 is the one-piece
+        # envelope; it is certified strict, so strictification is skipped and
+        # the perturbation gets the remaining 1/8
+        assert cert.mesh_k == 1 and len(f.pieces) == 1
+        assert cert.stage_errors.tangent == F(1, 8)
+        assert cert.stage_errors.strictify is None
+        assert 0 < cert.stage_errors.perturb < F(1, 8)
+        assert cert.sup_error_bound == F(1, 8) + cert.stage_errors.perturb
         assert cert.sup_error_bound <= F(1, 4)
         assert cert.strictly_convex and cert.periodic
 
@@ -208,6 +235,8 @@ class TestApproximate:
         req = ApproxRequest(function=target, eps=F(1, 8), rng_seed=5)
         f, decomp, cert = approximate(req)
         assert cert.sup_error_bound <= F(1, 8)
+        assert cert.mesh_k is None and cert.stage_errors.tangent is None
+        assert cert.stage_errors.strictify is None  # the target is certified strict
         rng = random.Random(7)
         for _ in range(50):
             w = (F(rng.randint(-50, 50), 23),)

@@ -178,14 +178,41 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert "2-D only" in err["error"]["message"]
 
-    def test_retries_exhausted_is_exit_two(self, tmp_path, monkeypatch):
+    def test_retries_exhausted_is_exit_two(self, tmp_path, monkeypatch, capsys):
+        # unperturbed, the one cell [-1/2, 1/2] has a vertex on Σ = {1/2}
         import tropma.approx as ax
         monkeypatch.setattr(ax, "_rand_frac", lambda rng, r, grain=4096: F(0))
         req = {"cocycle": {"n": 1, "periods": [[1]], "b": [[1]], "z0": ["1/2"]},
-               "sigma": [{"vertices": [[0]]}], "eps": "1/4", "max_retries": 2}
+               "sigma": [{"vertices": [["1/2"]]}], "eps": "1/4", "max_retries": 2}
         p = tmp_path / "req.json"
         p.write_text(json.dumps(req))
         assert cli.main(["approximate", "--in", str(p)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "algorithmic", "message": "perturbation retries "
+                       "exhausted (last failure: transversality)"}
+
+    def test_cell_walk_failure_is_exit_two(self, tate_json, monkeypatch, capsys):
+        import tropma.plfunc as pl
+
+        def never_stabilizes(*args):
+            raise pl._CollarTooSmall()
+
+        monkeypatch.setattr(pl, "_walk_cells", never_stabilizes)
+        assert cli.main(["approximate", "--in", tate_json]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "algorithmic"
+        assert err["message"].startswith("cell walk failed to stabilize")
+
+    def test_approximate_certificate_records_the_stages(self, tmp_path, capsys):
+        p = tmp_path / "req.json"
+        p.write_text(json.dumps({"cocycle": ID2, "eps": "1/4"}))
+        assert cli.main(["approximate", "--in", str(p), "--seed", "1"]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["mesh_k"] == 2
+        stages = cert["stage_errors"]
+        assert stages["tangent"] == "1/16" and stages["strictify"] is None
+        assert jsonio.dec_q(cert["sup_error_bound"]) == (
+            F(1, 16) + jsonio.dec_q(stages["perturb"]))
 
 
 SQUARE_FACE = {"id": "top",
@@ -283,3 +310,99 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _run_cli(tmp_path, args, data=None, name="in.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(data))
+    return cli.main([args[0], "--in", str(p), *args[1:]])
+
+
+class TestIntegersAndShapes:
+    """Integers must be JSON integers, and arrays must have consistent shapes."""
+
+    REQUEST = {"cocycle": {"n": 1, "periods": [[1]], "b": [[1]], "z0": ["1/2"]}}
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", "1"), ("seed", True),
+        ("max_retries", 2.7), ("max_retries", "2"), ("max_retries", False)])
+    def test_request_integers(self, tmp_path, capsys, field, value):
+        data = {**self.REQUEST, field: value}
+        assert _run_cli(tmp_path, ["approximate"], data) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert f"'{field}' must be a JSON integer" in err["message"]
+
+    @pytest.mark.parametrize("value", [1.9, "2", True])
+    def test_skeleton_dimension_integer(self, tmp_path, capsys, value):
+        data = {"cocycle": ID2, "d": value, "faces": [SQUARE_FACE]}
+        assert _run_cli(tmp_path, ["validate", "--kind", "skeleton"], data) == 1
+        assert "'d' must be a JSON integer" in json.loads(capsys.readouterr().out)[
+            "error"]["message"]
+
+    @pytest.mark.parametrize("value", [0.7, "0", False])
+    def test_face_e_integer(self, tmp_path, capsys, value):
+        data = {"cocycle": ID2, "d": 2, "faces": [{**SQUARE_FACE, "e": value}]}
+        assert _run_cli(tmp_path, ["validate", "--kind", "skeleton"], data) == 1
+        assert "'e' must be a JSON integer" in json.loads(capsys.readouterr().out)[
+            "error"]["message"]
+
+    def test_cocycle_n_not_a_bool(self, tmp_path, capsys):
+        data = {"n": True, "periods": [[1]], "b": [[1]], "z0": ["1/2"]}
+        assert _run_cli(tmp_path, ["validate", "--kind", "cocycle"], data) == 1
+        assert "'n' must be a JSON integer" in json.loads(capsys.readouterr().out)[
+            "error"]["message"]
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_ma_k_at_least_one(self, tate_json, capsys, k):
+        assert cli.main(["ma", "--in", tate_json, "--k", k]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "validation", "message": "--k must be >= 1"}
+
+    def test_ragged_sigma(self, tmp_path, capsys):
+        data = {"cocycle": ID2, "sigma": [{"vertices": [[0, 0], [1]]}]}
+        assert _run_cli(tmp_path, ["approximate"], data) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert "same dimension" in err["message"]
+
+    def test_sigma_outside_the_target_dimension(self, tmp_path, capsys):
+        data = {"cocycle": ID2, "sigma": [{"vertices": [[0], [1]]}]}
+        assert _run_cli(tmp_path, ["approximate"], data) == 1
+        assert "target's dimension 2" in json.loads(capsys.readouterr().out)[
+            "error"]["message"]
+
+    @pytest.mark.parametrize("slopes", [[[0, 0], [1]], [[0], [1]]])
+    def test_piece_dimensions(self, tmp_path, capsys, slopes):
+        data = {"cocycle": ID2, "pieces": [{"m": m, "c": 0} for m in slopes]}
+        assert _run_cli(tmp_path, ["validate", "--kind", "function"], data) == 1
+        assert "piece slopes" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    def test_piece_not_an_object(self, tmp_path, capsys):
+        data = {"cocycle": ID2, "pieces": [[0, 0]]}
+        assert _run_cli(tmp_path, ["validate", "--kind", "function"], data) == 1
+        assert "a piece is encoded as" in json.loads(capsys.readouterr().out)[
+            "error"]["message"]
+
+
+def test_optimized_python_gives_the_same_artifact(tmp_path):
+    # every certificate is an explicit check, so python -O changes nothing
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"cocycle": ID2,
+                               "sigma": [{"vertices": [[0, 0], [1, 0], [0, 1]]}]}))
+    outs = []
+    for flags in ([], ["-O"]):
+        p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", "approximate",
+                            "--in", str(req), "--eps", "1/4", "--seed", "2"],
+                           capture_output=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+        assert p.returncode == 0, p.stderr
+        outs.append(p.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["certificate"]["transversal"]["ok"] is True
