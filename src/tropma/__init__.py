@@ -11,7 +11,7 @@ from .polyhedra import (AffineLatticeFrame, AmbientLattice, FrameMismatchError,
                         Polytope, affine_data, faces, hull, intersect,
                         lattice_volume)
 from .cocycle import Cocycle, UnpolarizedError
-from .plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition,
+from .plfunc import (AffinePiece, CellWalkError, CertificateError, PeriodicDecomposition,
                      PeriodicPLFunction, TransversalityReport,
                      check_cocycle_rule, check_periodic, check_transversal,
                      evaluate, linearity_cells, translate_piece)
@@ -27,7 +27,8 @@ __all__ = [
     "AffineLatticeFrame", "AmbientLattice", "FrameMismatchError", "Polytope",
     "affine_data", "faces", "hull", "intersect", "lattice_volume",
     "Cocycle", "UnpolarizedError",
-    "AffinePiece", "CellWalkError", "PeriodicDecomposition", "PeriodicPLFunction",
+    "AffinePiece", "CellWalkError", "CertificateError", "PeriodicDecomposition",
+    "PeriodicPLFunction",
     "TransversalityReport", "check_cocycle_rule", "check_periodic",
     "check_transversal", "evaluate", "linearity_cells", "translate_piece",
     "ApproxCertificate", "ApproxRequest", "StageErrors", "approximate",

@@ -5,8 +5,8 @@ in JSON artifacts are exact rational strings; the one timing line of
 `approximate` is diagnostic only and goes to stderr so artifacts stay
 byte-reproducible.  Exit codes:
 0 success, 1 input or validation error, 2 algorithmic failure (perturbation
-retries exhausted, strictification failure, a failed cell walk, or a failed
-mass check).
+retries exhausted, strictification failure, a failed cell walk or certificate,
+or a failed mass check).  A malformed flag is an input error like any other.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from . import jsonio
 from .approx import PerturbationError, StrictificationError, approximate, tangent_pl
 from .jsonio import FormatError
 from .ma import ma_pl, total_mass
-from .plfunc import CellWalkError, check_cocycle_rule, check_periodic, linearity_cells
+from .plfunc import (CellWalkError, CertificateError, check_cocycle_rule, check_periodic,
+                     linearity_cells)
 from .skeleton import assemble_measure, check_nondegenerate, face_degrees
 from .svgplot import render
 
@@ -215,8 +216,15 @@ def cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors follow the JSON error contract."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tropma",
         description="Exact Monge-Ampere measures of toric metrics on tropical "
                     "abelian varieties")
@@ -272,11 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (PerturbationError, StrictificationError, CellWalkError) as e:
+    except (PerturbationError, StrictificationError, CellWalkError, CertificateError) as e:
         return _fail("algorithmic", str(e), 2)
     except (FormatError, ValueError, KeyError, OSError) as e:
         return _fail("validation", str(e), 1)

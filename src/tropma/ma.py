@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .linalg import Mat, Vec, dot, vec
-from .plfunc import PeriodicPLFunction, _translates_meeting, evaluate, linearity_cells
+from .plfunc import (CertificateError, PeriodicPLFunction, _translates_meeting, evaluate,
+                     linearity_cells)
 from .polyhedra import AffineLatticeFrame, Polytope, hull, lattice_volume
 
 
@@ -104,7 +105,7 @@ def subdifferential(f: PeriodicPLFunction, xi: Sequence) -> Subdifferential:
             fw, _ = scan.eval(w)
             for u in dual.vertices:
                 if fw - fxi < dot(linalg.vsub(w, xi), u):
-                    raise AssertionError("subdifferential certificate failed")
+                    raise CertificateError("subdifferential certificate failed")
     return Subdifferential(xi, dual)
 
 
@@ -176,7 +177,7 @@ def ma_quadratic_restricted(c: Cocycle, linear: Mat, offset: Sequence,
     hess = [[c.bilinear(cols[i], cols[j]) for j in range(k)] for i in range(k)]
     density = linalg.det(hess) if k else Fraction(1)
     if density < 0:
-        raise AssertionError("pullback Hessian of a polarized form must be PSD")
+        raise CertificateError("pullback Hessian of a polarized form must be PSD")
     return Measure(lebesgue_pieces=(LebesguePiece(support, frame, density),))
 
 

@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional, Sequence
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .linalg import Mat, Vec, dot, vec, vsub
-from .polyhedra import (Polytope, _canon_eq, clip_polygon, hull, intersect,
-                        vertices_of_hrep)
+from .polyhedra import (Polytope, _canon_eq, clip_homogeneous, clip_polygon, homogeneous,
+                        hull, intersect, vertices_of_hrep)
 
 
 @dataclass(frozen=True)
@@ -493,16 +493,6 @@ def _dim_of_points(pts: Sequence[Vec]) -> int:
     return linalg.rank(diffs) if diffs else 0
 
 
-def _meets(p: Polytope, q: Polytope) -> bool:
-    lo_p, hi_p = p.bbox()
-    lo_q, hi_q = q.bbox()
-    if any(a > b for a, b in zip(lo_p, hi_q)) or any(a > b for a, b in zip(lo_q, hi_p)):
-        return False
-    if p.ambient_dim == 2 and p.dim == 2 and q.dim == 2:
-        return bool(clip_polygon(_ring2d(p), q.inequalities))
-    return intersect(p, q) is not None
-
-
 def check_periodic(d: PeriodicDecomposition) -> bool:
     """Validate Λ-periodicity of the decomposition given by representatives.
 
@@ -617,6 +607,10 @@ class CellWalkError(RuntimeError):
     """The cell walk could not certify the cells of linearity."""
 
 
+class CertificateError(RuntimeError):
+    """An exact check of data the program derived itself failed."""
+
+
 def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
                     init: Sequence[int] = ()) -> Optional[list[Vec]]:
     """Points spanning {ω in box : entry ei attains the envelope}, or None.
@@ -625,29 +619,34 @@ def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
     envelope certificate, the entries beating ei there are added and the cell
     recomputed, so the result is certified independently of any pruning.  The
     returned points contain all vertices of the cell (possibly with extra
-    collinear boundary points); they are certified to lie on the cell.
+    collinear boundary points); they are certified to lie on the cell.  In 2-D
+    the box is clipped on integers by the halfplanes (m_j - m_i)·ω <= c_i - c_j
+    of the scan's integerized entries.
     """
     n = len(box_lo)
-    entries = scan.entries
-    me = entries[ei].piece
     cons: set[int] = set(i for i in init if i != ei)
-    box_ring = None
     if n == 2:
-        box_ring = [(box_lo[0], box_lo[1]), (box_hi[0], box_lo[1]),
-                    (box_hi[0], box_hi[1]), (box_lo[0], box_hi[1])]
+        ints = scan._ints
+        (mx, my), mc = ints[ei]
+        box_ring = [homogeneous(p) for p in ((box_lo[0], box_lo[1]), (box_hi[0], box_lo[1]),
+                                             (box_hi[0], box_hi[1]), (box_lo[0], box_hi[1]))]
+    else:
+        me = scan.entries[ei].piece
+        box_ineqs = []
+        for i in range(n):
+            e = tuple(Fraction(1 if j == i else 0) for j in range(n))
+            box_ineqs.append((e, box_hi[i]))
+            box_ineqs.append((tuple(-x for x in e), -box_lo[i]))
     while True:
-        halfplanes = []
-        for i in cons:
-            other = entries[i].piece
-            halfplanes.append((vsub(other.m, me.m), me.c - other.c))
         if n == 2:
-            pts = list(dict.fromkeys(clip_polygon(box_ring, halfplanes)))
+            ring = clip_homogeneous(box_ring, [(m[0] - mx, m[1] - my, mc - ci)
+                                               for m, ci in (ints[i] for i in cons)])
+            pts = [(Fraction(x, w), Fraction(y, w)) for x, y, w in dict.fromkeys(ring)]
         else:
-            box_ineqs = []
-            for i in range(n):
-                e = tuple(Fraction(1 if j == i else 0) for j in range(n))
-                box_ineqs.append((e, box_hi[i]))
-                box_ineqs.append((tuple(-x for x in e), -box_lo[i]))
+            halfplanes = []
+            for i in cons:
+                other = scan.entries[i].piece
+                halfplanes.append((vsub(other.m, me.m), me.c - other.c))
             pts = vertices_of_hrep([], halfplanes + box_ineqs, n)
         if not pts or _dim_of_points(pts) < n:
             return None
@@ -682,13 +681,16 @@ def _nearest_indices(scan: _EnvelopeScan, ei: int, count: int) -> list[int]:
 def linearity_cells(f: PeriodicPLFunction):
     """Maximal cells of linearity, as canonical representatives modulo Λ.
 
-    Returns (decomposition, cell_to_piece, strictly_convex).  Cells are found
-    by walking the envelope's cell graph outward from the fundamental domain;
-    each cell is certified by evaluating the envelope at its vertices, and a
-    cell straddling the search box restarts the walk with a larger collar.
-    Representatives are canonicalized by translating each cell's barycenter
-    into the half-open fundamental parallelepiped; when several translates tie
-    on a whole cell, the lexicographically minimal piece is assigned.
+    Returns (decomposition, cell_to_piece, strictly_convex).  The walk starts
+    at the fundamental domain's barycenter and visits the Λ-classes of the
+    representatives, since every translate's cell is a lattice shift of one
+    cell: one translate per class is certified by evaluating the envelope at
+    its vertices and shifted to its canonical translate, whose barycenter lies
+    in the half-open fundamental parallelepiped.  The canonical cell's vertices
+    give the tie and the neighbouring classes.  A certified cell touching the
+    search box, or a canonical translate outside it, restarts the walk with a
+    larger collar.  When several translates tie on a whole cell, the
+    lexicographically minimal piece is assigned.
     """
     if f._cells_cache is not None and f._cells_cache[2] is not None:
         return f._cells_cache
@@ -713,115 +715,76 @@ def linearity_cells(f: PeriodicPLFunction):
 
 def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
                 collar: Fraction):
+    """One certified cell per Λ-class of representatives, walked from dom.
+
+    By the cocycle rule the cell of the translate (p, k) is the cell of (p, 0)
+    shifted by λ_k, so one translate of each representative is certified and
+    shifted to its canonical translate, whose scan entry gives the tie and the
+    neighbours at the canonical cell's vertices.  Every representative in the
+    tie is done; only neighbours of classes not done are walked.
+    """
     c = f.cocycle
-    n = c.n
     box_lo = tuple(a - collar for a in flo)
     box_hi = tuple(b + collar for b in fhi)
     scan = f.scan_for(box_lo, box_hi)
     entries = scan.entries
-    dom_ring = _ring2d(dom) if n == 2 else None
+    entry_index = {(e.rep_index, e.k): i for i, e in enumerate(entries)}
 
     _, seed = scan.eval(dom.barycenter())
     queue = list(seed)
     enqueued = set(seed)
-    canonical: dict[tuple, tuple[Polytope, AffinePiece, bool, set[int]]] = {}
+    done: set[int] = set()
+    canonical: dict[tuple, tuple[Polytope, AffinePiece, bool]] = {}
 
     while queue:
         ei = queue.pop()
-        init = _nearest_indices(scan, ei, 32)
-        pts = _certified_cell(scan, ei, box_lo, box_hi, init)
+        e = entries[ei]
+        if e.rep_index in done:
+            continue
+        pts = _certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32))
         if pts is None:
             continue
-        if n == 2:
-            meets_dom = bool(clip_polygon(dom_ring, _cell_halfplanes(pts)))
-        else:
-            meets_dom = _meets(hull(pts), dom)
         if _touches_box(pts, box_lo, box_hi):
-            if meets_dom:
-                raise _CollarTooSmall()
-            continue
-        if not meets_dom:
-            continue
+            raise _CollarTooSmall()
+        cell = hull(pts)
+        _, kshift = c.canonicalize(cell.barycenter())
+        ccell = cell.translate(tuple(-x for x in c.lattice_vector(kshift))) \
+            if any(kshift) else cell
+        ci = entry_index.get((e.rep_index, tuple(a - b for a, b in zip(e.k, kshift))))
+        clo, chi = ccell.bbox()
+        if ci is None or any(a < b for a, b in zip(clo, box_lo)) or \
+                any(a > b for a, b in zip(chi, box_hi)):
+            raise _CollarTooSmall()
 
         tie: Optional[set[int]] = None
         neighbors: set[int] = set()
-        for u in pts:
+        for u in ccell.vertices:
             _, arg = scan.eval(u)
             s = set(arg)
             tie = s if tie is None else (tie & s)
             neighbors |= s
-        if not tie or ei not in tie:
+        if not tie or ci not in tie:
             raise CellWalkError("cell certificate failed: the walked entry does not "
                                "attain the envelope on its whole cell")
-
-        cell = hull(pts)
-        bary = cell.barycenter()
-        _, kshift = c.canonicalize(bary)
-        lam = c.lattice_vector(kshift)
-        ccell = cell.translate(tuple(-x for x in lam)) if any(kshift) else cell
-        key = ccell.vertices
-        if key not in canonical:
-            cpieces = []
-            reps = set()
-            for ti in tie:
-                e = entries[ti]
-                kk = tuple(a - b for a, b in zip(e.k, kshift))
-                cp = translate_piece(c, f.pieces[e.rep_index], kk)
-                cpieces.append((cp.m, cp.c, cp))
-                reps.add(e.rep_index)
-            cpieces.sort(key=lambda t: (t[0], t[1]))
-            canonical[key] = (ccell, cpieces[0][2], len(tie) == 1, reps)
+        piece = min((entries[i].piece for i in tie), key=lambda p: (p.m, p.c))
+        canonical[ccell.vertices] = (ccell, piece, len(tie) == 1)
+        done.update(entries[i].rep_index for i in tie)
 
         for i in neighbors:
-            if i not in enqueued:
+            if i not in enqueued and entries[i].rep_index not in done:
                 enqueued.add(i)
                 queue.append(i)
 
     cells = []
     pieces = []
-    strict = True
-    covered_reps: set[int] = set()
+    strict = done == set(range(len(f.pieces)))
     for key in sorted(canonical):
-        ccell, piece, unique, reps = canonical[key]
+        ccell, piece, unique = canonical[key]
         cells.append(ccell)
         pieces.append(piece)
         strict = strict and unique
-        covered_reps |= reps
-    strict = strict and covered_reps == set(range(len(f.pieces)))
     decomp = PeriodicDecomposition(c, tuple(cells))
     return decomp, dict(enumerate(pieces)), strict
-
-
-def _cell_halfplanes(pts: Sequence[Vec]):
-    """Halfplane description of the convex hull of certified cell points."""
-    ring = _hull_ring_2d(pts)
-    out = []
-    for i in range(len(ring)):
-        p, q = ring[i], ring[(i + 1) % len(ring)]
-        a = (q[1] - p[1], -(q[0] - p[0]))
-        out.append((a, dot(a, p)))
-    return out
-
-
-def _hull_ring_2d(pts: Sequence[Vec]) -> list[Vec]:
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return list(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Vec] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -488,28 +488,47 @@ def lattice_volume(p: Polytope, frame: AffineLatticeFrame) -> Fraction:
     return total / kfact
 
 
-def clip_polygon(poly: list[Vec], halfplanes: Sequence[Halfspace]) -> list[Vec]:
-    """Clip a counterclockwise 2-d polygon by halfplanes a.x <= c, exactly.
+def homogeneous(point: Sequence[Fraction]) -> tuple[int, int, int]:
+    """A rational point (x, y) as the reduced integer triple (X, Y, W), W > 0."""
+    x, y = point
+    w = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
 
-    Returns the (possibly degenerate) clipped vertex ring; empty when the
-    intersection is empty.  Fast path for full-dimensional cell extraction.
+
+def clip_homogeneous(ring: list[tuple[int, int, int]],
+                     halfplanes: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Clip a counterclockwise ring of homogeneous points by integer halfplanes.
+
+    Points are reduced triples (X, Y, W) with W > 0 standing for (X/W, Y/W),
+    and a halfplane (a0, a1, c) means a0·x + a1·y <= c.  The sign of
+    a0·X + a1·Y - c·W is the side of the point, and the crossing of an edge pq
+    is sq·p - sp·q, so the clip is exact on Python ints.  Reduced triples are
+    equal exactly when the points are, so the ring is the one the same clip
+    gives over the rationals.
     """
-    cur = list(poly)
-    for a, c in halfplanes:
+    cur = ring
+    for a0, a1, c in halfplanes:
         if not cur:
             return []
-        nxt: list[Vec] = []
-        vals = [dot(a, p) for p in cur]
+        vals = [a0 * x + a1 * y - c * w for x, y, w in cur]
+        nxt: list[tuple[int, int, int]] = []
         m = len(cur)
         for i in range(m):
-            p, vp = cur[i], vals[i]
-            q, vq = cur[(i + 1) % m], vals[(i + 1) % m]
-            if vp <= c:
+            p, sp = cur[i], vals[i]
+            j = i + 1 if i + 1 < m else 0
+            sq = vals[j]
+            if sp <= 0:
                 nxt.append(p)
-            if (vp < c < vq) or (vq < c < vp):
-                t = (c - vp) / (vq - vp)
-                nxt.append(tuple(pi + t * (qi - pi) for pi, qi in zip(p, q)))
-        dedup: list[Vec] = []
+            if (sp < 0 < sq) or (sq < 0 < sp):
+                q = cur[j]
+                x = sq * p[0] - sp * q[0]
+                y = sq * p[1] - sp * q[1]
+                w = sq * p[2] - sp * q[2]
+                if w < 0:
+                    x, y, w = -x, -y, -w
+                g = math.gcd(x, y, w)
+                nxt.append((x // g, y // g, w // g))
+        dedup: list[tuple[int, int, int]] = []
         for pt in nxt:
             if not dedup or pt != dedup[-1]:
                 dedup.append(pt)
@@ -517,6 +536,22 @@ def clip_polygon(poly: list[Vec], halfplanes: Sequence[Halfspace]) -> list[Vec]:
             dedup.pop()
         cur = dedup
     return cur
+
+
+def clip_polygon(poly: list[Vec], halfplanes: Sequence[Halfspace]) -> list[Vec]:
+    """Clip a counterclockwise 2-d polygon by halfplanes a.x <= c, exactly.
+
+    Returns the (possibly degenerate) clipped vertex ring; empty when the
+    intersection is empty.  The work is done by clip_homogeneous.
+    """
+    int_planes = []
+    for (a0, a1), c in halfplanes:
+        den = math.lcm(a0.denominator, a1.denominator, c.denominator)
+        int_planes.append((a0.numerator * (den // a0.denominator),
+                           a1.numerator * (den // a1.denominator),
+                           c.numerator * (den // c.denominator)))
+    ring = clip_homogeneous([homogeneous(p) for p in poly], int_planes)
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in ring]
 
 
 def box_polytope(lo: Sequence[Fraction], hi: Sequence[Fraction]) -> Polytope:

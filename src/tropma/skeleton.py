@@ -24,7 +24,7 @@ from . import linalg
 from .cocycle import Cocycle
 from .linalg import Mat, Vec, dot, vec
 from .ma import Atom, Measure, ma_quadratic_restricted, pushforward
-from .plfunc import (AffinePiece, PeriodicPLFunction, _certified_cell,
+from .plfunc import (AffinePiece, CertificateError, PeriodicPLFunction, _certified_cell,
                      _dim_of_points, _translates_meeting, linearity_cells)
 from .polyhedra import AffineLatticeFrame, Polytope, hull
 
@@ -271,7 +271,7 @@ def _complex_face_dim_at(metric: PeriodicPLFunction, x: Vec) -> int:
         gen = [v for v in t.vertices
                if all(dot(a, v) == c for a, c in tight)]
         return _dim_of_points(gen)
-    raise AssertionError("point not covered by the decomposition")
+    raise CertificateError("point not covered by the decomposition")
 
 
 def canonical_subset(spec: SkeletonSpec) -> tuple[list[str], Measure]:

@@ -1,0 +1,154 @@
+"""The Λ-class cell walk against the per-translate walk it replaced.
+
+`_walk_cells` certifies one translate per class of representatives and reads
+the tie at the canonical translate of its cell.  The walk that certified every
+translate it met, and kept the cells meeting the fundamental domain, is kept
+here as the reference; over random polarized 2-D cocycles both must give the
+same cells, the same cell pieces and the same strict flag.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_strict_skip import polarized_cocycles
+
+import tropma.plfunc as pl
+from tropma import PeriodicPLFunction, tangent_pl
+from tropma.linalg import dot
+from tropma.plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, _CollarTooSmall,
+                           _certified_cell, _default_collar, _fundamental_bbox,
+                           _nearest_indices, _ring2d, _touches_box, linearity_cells,
+                           translate_piece)
+from tropma.polyhedra import _hull_2d, clip_polygon, hull
+
+SETTINGS = settings(max_examples=5, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _cell_halfplanes(pts):
+    ring = _hull_2d(list(pts))
+    out = []
+    for i in range(len(ring)):
+        p, q = ring[i], ring[(i + 1) % len(ring)]
+        a = (q[1] - p[1], -(q[0] - p[0]))
+        out.append((a, dot(a, p)))
+    return out
+
+
+def reference_walk(f, dom, flo, fhi, collar):
+    """Certify every translate met from dom; keep the cells meeting dom."""
+    c = f.cocycle
+    box_lo = tuple(a - collar for a in flo)
+    box_hi = tuple(b + collar for b in fhi)
+    scan = f.scan_for(box_lo, box_hi)
+    entries = scan.entries
+    dom_ring = _ring2d(dom)
+    _, seed = scan.eval(dom.barycenter())
+    queue = list(seed)
+    enqueued = set(seed)
+    canonical = {}
+    while queue:
+        ei = queue.pop()
+        pts = _certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32))
+        if pts is None:
+            continue
+        meets_dom = bool(clip_polygon(dom_ring, _cell_halfplanes(pts)))
+        if _touches_box(pts, box_lo, box_hi):
+            if meets_dom:
+                raise _CollarTooSmall()
+            continue
+        if not meets_dom:
+            continue
+        tie = None
+        neighbors = set()
+        for u in pts:
+            _, arg = scan.eval(u)
+            tie = set(arg) if tie is None else tie & set(arg)
+            neighbors |= set(arg)
+        if not tie or ei not in tie:
+            raise CellWalkError("cell certificate failed")
+        cell = hull(pts)
+        _, kshift = c.canonicalize(cell.barycenter())
+        lam = c.lattice_vector(kshift)
+        ccell = cell.translate(tuple(-x for x in lam)) if any(kshift) else cell
+        if ccell.vertices not in canonical:
+            cpieces = []
+            reps = set()
+            for ti in tie:
+                e = entries[ti]
+                kk = tuple(a - b for a, b in zip(e.k, kshift))
+                cp = translate_piece(c, f.pieces[e.rep_index], kk)
+                cpieces.append((cp.m, cp.c, cp))
+                reps.add(e.rep_index)
+            cpieces.sort(key=lambda t: (t[0], t[1]))
+            canonical[ccell.vertices] = (ccell, cpieces[0][2], len(tie) == 1, reps)
+        for i in neighbors:
+            if i not in enqueued:
+                enqueued.add(i)
+                queue.append(i)
+    keys = sorted(canonical)
+    covered = set().union(*(canonical[k][3] for k in keys))
+    strict = all(canonical[k][2] for k in keys) and covered == set(range(len(f.pieces)))
+    return (PeriodicDecomposition(c, tuple(canonical[k][0] for k in keys)),
+            dict(enumerate(canonical[k][1] for k in keys)), strict)
+
+
+def reference_cells(f):
+    """linearity_cells' collar loop around the reference walk."""
+    c = f.cocycle
+    flo, fhi = _fundamental_bbox(c)
+    collar = _default_collar(f)
+    width = max(b - a for a, b in zip(flo, fhi))
+    for _ in range(8):
+        try:
+            return reference_walk(f, c.fundamental_domain(), flo, fhi, collar)
+        except _CollarTooSmall:
+            collar = min(collar * 2, collar + width)
+    raise CellWalkError("cell walk failed to stabilize")
+
+
+def assert_same_walk(c, pieces):
+    got = linearity_cells(PeriodicPLFunction(c, pieces))
+    want = reference_cells(PeriodicPLFunction(c, pieces))
+    assert got[0].cells == want[0].cells
+    assert [p.anchor for p in got[1].values()] == [p.anchor for p in want[1].values()]
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    return got
+
+
+@SETTINGS
+@given(polarized_cocycles(), st.integers(1, 3))
+def test_class_walk_matches_per_translate_walk(c, k):
+    assert assert_same_walk(c, tangent_pl(c, k).pieces)[2]
+
+
+@SETTINGS
+@given(polarized_cocycles(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_class_walk_matches_on_perturbed_and_non_strict(c, shifts):
+    base = tangent_pl(c, 2).pieces
+    perturbed = [AffinePiece(p.m, p.c + F(s, 64), p.anchor) for p, s in zip(base, shifts)]
+    assert_same_walk(c, perturbed)
+    assert not assert_same_walk(c, list(base) + [base[0]])[2]
+    # a piece that never attains the envelope leaves a representative uncovered
+    sunk = AffinePiece(base[0].m, base[0].c - 1)
+    assert not assert_same_walk(c, list(base) + [sunk])[2]
+
+
+def test_one_certificate_per_piece_when_strict(two_tate, monkeypatch):
+    calls = []
+    original = pl._certified_cell
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    pieces = {k: tangent_pl(two_tate, k).pieces for k in (1, 2, 3)}
+    monkeypatch.setattr(pl, "_certified_cell", counting)
+    for k in (1, 2, 3):
+        calls.clear()
+        f = PeriodicPLFunction(two_tate, pieces[k])
+        decomp, _, strict = linearity_cells(f)
+        assert strict and len(decomp.cells) == k * k
+        assert len(calls) == k * k

@@ -406,3 +406,45 @@ def test_optimized_python_gives_the_same_artifact(tmp_path):
         outs.append(p.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["certificate"]["transversal"]["ok"] is True
+
+
+class TestMalformedFlags:
+    """A flag argparse cannot read is a validation error, exit 1, JSON on stdout."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["approximate", "--seed", "1.5"], "--seed"),
+        (["ma", "--k", "x"], "--k")])
+    def test_bad_flag_value(self, tate_json, capsys, argv, flag):
+        assert cli.main([argv[0], "--in", tate_json, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)["error"]
+        assert err["kind"] == "validation"
+        assert f"argument {flag}: invalid int value" in err["message"]
+        assert captured.err == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ma", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tropma ma")
+
+
+def test_uncovered_point_in_degree_is_exit_two(tmp_path, capsys, monkeypatch, two_tate):
+    # a cell dropped from the walk leaves the pullback vertices uncovered
+    import tropma.plfunc as pl
+
+    original = pl._walk_cells
+
+    def drops_a_cell(*args):
+        decomp, pieces, strict = original(*args)
+        return pl.PeriodicDecomposition(decomp.cocycle, decomp.cells[1:]), pieces, strict
+
+    monkeypatch.setattr(pl, "_walk_cells", drops_a_cell)
+    spec_p = tmp_path / "spec.json"
+    spec_p.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
+    fp = tmp_path / "f.json"
+    fp.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 1))))
+    assert cli.main(["degree", "--in", str(spec_p), "--metric", str(fp)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"kind": "algorithmic",
+                   "message": "point not covered by the decomposition"}
