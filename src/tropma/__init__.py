@@ -12,9 +12,9 @@ from .polyhedra import (AffineLatticeFrame, AmbientLattice, FrameMismatchError,
                         lattice_volume)
 from .cocycle import Cocycle, UnpolarizedError
 from .plfunc import (AffinePiece, CellWalkError, CertificateError, PeriodicDecomposition,
-                     PeriodicPLFunction, TransversalityReport,
-                     check_cocycle_rule, check_periodic, check_transversal,
-                     evaluate, linearity_cells, translate_piece)
+                     PeriodicPLFunction, TransversalityReport, certify_linearity_tiling,
+                     check_cocycle_rule, check_periodic, check_transversal, evaluate,
+                     linearity_cells, translate_piece)
 from .approx import (ApproxCertificate, ApproxRequest, StageErrors, approximate,
                      barycentric_strictify, perturb_generic, tangent_pl)
 from .ma import (Measure, Subdifferential, ma_pl, ma_quadratic_restricted,
@@ -28,9 +28,9 @@ __all__ = [
     "affine_data", "faces", "hull", "intersect", "lattice_volume",
     "Cocycle", "UnpolarizedError",
     "AffinePiece", "CellWalkError", "CertificateError", "PeriodicDecomposition",
-    "PeriodicPLFunction",
-    "TransversalityReport", "check_cocycle_rule", "check_periodic",
-    "check_transversal", "evaluate", "linearity_cells", "translate_piece",
+    "PeriodicPLFunction", "TransversalityReport", "certify_linearity_tiling",
+    "check_cocycle_rule", "check_periodic", "check_transversal", "evaluate",
+    "linearity_cells", "translate_piece",
     "ApproxCertificate", "ApproxRequest", "StageErrors", "approximate",
     "barycentric_strictify", "perturb_generic", "tangent_pl",
     "Measure", "Subdifferential", "ma_pl", "ma_quadratic_restricted",

@@ -5,7 +5,9 @@ stages: a tangent envelope of the canonical quadratic on a refined lattice
 mesh (replacing the abstract uniform-approximation input), a barycentric
 strictification that breaks flat ties by lowering face barycenters, and a
 random rational perturbation accepted only when exact certificates hold:
-certified sup error, strict convexity, periodicity of the cell complex and
+certified sup error, strict convexity, periodicity of the cell complex
+(certified from the draw's own cells by `certify_linearity_tiling`: vertex
+values, distinct Λ-classes and total volume, with no pairwise pass) and
 transversality against the prescribed polytopes.  Strictification runs only
 when the cell walk does not already certify the stage-1 function as strictly
 convex; tangent envelopes are certified strict, so canonical targets skip it.
@@ -24,7 +26,7 @@ from .cocycle import Cocycle
 from .linalg import Vec, dot, vsub
 from .plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, PeriodicPLFunction,
                      TransversalityReport, _closure_under_faces, _fundamental_bbox,
-                     _intersect_fast, _translates_meeting, check_periodic,
+                     _intersect_fast, _translates_meeting, certify_linearity_tiling,
                      check_transversal, evaluate, linearity_cells, translate_piece)
 from .polyhedra import Polytope
 
@@ -361,6 +363,10 @@ def perturb_generic(f: PeriodicPLFunction, sigma: Sequence[Polytope], eps: Fract
     acceptance certificates hold: certified sup error below eps, strict
     convexity, Λ-periodicity, the genericity conditions and Σ-transversality.
 
+    Λ-periodicity is `certify_linearity_tiling` on the draw's walked cells
+    (vertex, class and volume checks on data the walk has cached); the
+    pairwise pass of `check_periodic` is not needed for cells of linearity.
+
     Draw boxes shrink by halves across retries; everything about a draw is a
     deterministic function of (f, sigma, eps, seed).
     """
@@ -401,8 +407,9 @@ def perturb_generic(f: PeriodicPLFunction, sigma: Sequence[Polytope], eps: Fract
         if err >= eps:
             last_failure = "certified error bound"
             continue
-        if not check_periodic(decomp2):
-            last_failure = "periodicity"
+        tiles, why = certify_linearity_tiling(f2, decomp2, map2)
+        if not tiles:
+            last_failure = f"periodicity ({why})"
             continue
         transversal = None
         if sigma:

@@ -126,8 +126,11 @@ def ma_pl(f: PeriodicPLFunction, region: Optional[Polytope] = None) -> Measure:
 
     With region=None the measure is reported per fundamental domain: one atom
     per Λ-orbit of vertices, each orbit counted once via its representative in
-    the half-open fundamental parallelepiped.  With an explicit region, atoms
-    sit at the complex vertices contained in the (closed) region.
+    the half-open fundamental parallelepiped.  Its total mass is then checked
+    against det(b)·covol(Λ), the volume of M_R/bΛ that the subdifferentials
+    over a fundamental domain tile, since ∂f(ω+λ) = ∂f(ω) + bλ; a mismatch
+    raises CertificateError.  With an explicit region, atoms sit at the
+    complex vertices contained in the (closed) region.
     """
     c = f.cocycle
     n = f.n
@@ -154,6 +157,8 @@ def ma_pl(f: PeriodicPLFunction, region: Optional[Polytope] = None) -> Measure:
         mass = _atom_at(f, xi, n)
         if mass > 0:
             atoms.append(Atom(xi, mass))
+    if region is None and sum(a.mass for a in atoms) != linalg.det(c.b) * c.covolume():
+        raise CertificateError("MA mass over a fundamental domain is not det(b)·covol(Λ)")
     return Measure(atoms=tuple(atoms))
 
 

@@ -538,6 +538,62 @@ def check_periodic(d: PeriodicDecomposition) -> bool:
     return True
 
 
+def certify_linearity_tiling(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
+                             cell_pieces) -> tuple[bool, str]:
+    """Certify that decomp's cells are exactly the cells of linearity of f mod Λ.
+
+    Returns (ok, reason); the reason names the check that failed.  Three exact
+    checks on data the cell walk has already computed:
+
+    - vertex: f = p_i at every vertex of cell C_i, where p_i = cell_pieces[i];
+    - class: each p_i is a cocycle translate of a representative of f, and no
+      two p_i lie in the same Λ-class (`_class_key`);
+    - volume: Σ vol(C_i) = covol(Λ).
+
+    Proof sketch.  p_i is a translate, so p_i <= f everywhere; f is convex and
+    equals p_i at the vertices of C_i, so f <= p_i on C_i, hence C_i lies in the
+    linearity region R_i = {f = p_i}, which is convex.  The regions of distinct
+    affine functions have disjoint interiors, translating a piece by λ ≠ 0
+    changes its slope by b·λ ≠ 0, and the translates of all regions cover the
+    space; so the regions of the Λ-classes attaining on an open set tile a
+    fundamental domain modulo Λ, with total volume covol(Λ).  The classes of
+    the p_i are distinct, so Σ vol(C_i) <= Σ vol(R_i) <= covol(Λ), and equality
+    forces C_i = R_i (closed convex sets of equal finite volume) and every
+    attaining class to be present.  The cells are then the domains of
+    linearity of a max of affine functions, a regular subdivision, which meets
+    face to face (De Loera–Rambau–Santos, Triangulations, 2010, ch. 2): the
+    decomposition is Λ-periodic and descends to the torus, which is what
+    `check_periodic` verifies pairwise for decompositions of unknown origin.
+    """
+    c = f.cocycle
+    for i, cell in enumerate(decomp.cells):
+        p = cell_pieces[i]
+        for v in cell.vertices:
+            if evaluate(f, v)[0] != p.value(v):
+                return False, f"vertex check: f differs from the piece of cell {i} at {v}"
+    reps = {_class_key(c, p) for p in f.pieces}
+    seen = set()
+    for i in range(len(decomp.cells)):
+        key = _class_key(c, cell_pieces[i])
+        if key not in reps:
+            return False, f"class check: the piece of cell {i} is not a translate of a piece"
+        if key in seen:
+            return False, f"class check: cell {i} repeats the Λ-class of another cell"
+        seen.add(key)
+    if sum(_cell_volume(cell) for cell in decomp.cells) != c.covolume():
+        return False, "volume check: the cell volumes do not sum to covol(Λ)"
+    return True, ""
+
+
+def _class_key(c: Cocycle, p: AffinePiece) -> tuple[Vec, Fraction]:
+    """(m, c) of the translate of p whose slope has coordinates in [0, 1)^n on
+    the basis (b·λ_i) of bΛ.  Translating by k adds k to those coordinates, so
+    two pieces share the key exactly when they are translates of each other."""
+    t = linalg.solve(linalg.transpose(_cocycle_quadratic_data(c).pb), p.m)
+    q = translate_piece(c, p, tuple(-linalg.floor_frac(x) for x in t))
+    return q.m, q.c
+
+
 def _pair_compatible(t1: Polytope, t2: Polytope, n: int) -> bool:
     """Interiors disjoint and, if the cells meet, they meet in a common face."""
     lo1, hi1 = t1.bbox()
@@ -562,6 +618,13 @@ def _pair_compatible(t1: Polytope, t2: Polytope, n: int) -> bool:
             return False
         cap_vs = cap.vertices
     return _is_face_of_vs(cap_vs, t1) and _is_face_of_vs(cap_vs, t2)
+
+
+def _cell_volume(p: Polytope) -> Fraction:
+    """Euclidean volume of a full-dimensional polytope (shoelace in 2-D)."""
+    if p.ambient_dim == 2:
+        return _area2(_ring2d(p)) / 2
+    return _std_volume(p)
 
 
 def _std_volume(p: Polytope) -> Fraction:

@@ -122,6 +122,13 @@ def _scale(spec: SkeletonSpec, face: SkeletonFace) -> Fraction:
     return Fraction(math.factorial(spec.d), math.factorial(face.e)) * face.deg_h
 
 
+def _image_box(face: SkeletonFace) -> tuple[Vec, Vec]:
+    """Bounding box of the carrier's tropical image f_aff(carrier)."""
+    images = [face.chart_to_tropical(v) for v in face.carrier.vertices]
+    cols = list(zip(*images))
+    return tuple(min(col) for col in cols), tuple(max(col) for col in cols)
+
+
 def _pullback_pieces(c: Cocycle, metric: PeriodicPLFunction,
                      face: SkeletonFace) -> list[AffinePiece]:
     """Pieces of metric ∘ f_aff on frame coordinates of the carrier.
@@ -130,12 +137,7 @@ def _pullback_pieces(c: Cocycle, metric: PeriodicPLFunction,
     carrier's tropical image, so the finite max equals the pullback exactly
     on the carrier.
     """
-    carr_y = [face.frame.coordinates(v) for v in face.carrier.vertices]
-    images = [face.f_aff(y) for y in carr_y]
-    cols = list(zip(*images))
-    lo = tuple(min(col) for col in cols)
-    hi = tuple(max(col) for col in cols)
-    scan = metric.scan_for(lo, hi)
+    scan = metric.scan_for(*_image_box(face))
     k = face.frame.dim
     seen = {}
     for e in scan.entries:
@@ -218,23 +220,28 @@ def assemble_measure(spec: SkeletonSpec, metric: Metric) -> Measure:
 def face_degrees(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunction
                  ) -> list[tuple[Vec, Fraction]]:
     """(vertex, degree) at every pullback vertex in the face's relative
-    interior, with the pullback built once for the whole face."""
+    interior, with the pullback and the metric's cell translates over the
+    face's image box looked up once for the whole face."""
     pieces = _pullback_pieces(spec.cocycle, metric, face)
+    translates = [t for _, _, t in
+                  _translates_meeting(linearity_cells(metric)[0], *_image_box(face))]
     out = []
     for y, _vol in _pullback_atoms(face, pieces):
         xi = face.frame.embed(y)
-        out.append((xi, vertex_degree(spec, face, metric, xi, pieces)))
+        out.append((xi, vertex_degree(spec, face, metric, xi, pieces, translates)))
     return out
 
 
 def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
                   metric: PeriodicPLFunction, xi: Sequence,
-                  pieces: Optional[Sequence[AffinePiece]] = None) -> Fraction:
+                  pieces: Optional[Sequence[AffinePiece]] = None,
+                  translates: Optional[Sequence[Polytope]] = None) -> Fraction:
     """Degree of the component at a pullback vertex, (d!/e!)·deg_H·atom mass.
 
     Requires the vertex to be transversal: the metric complex's face whose
     relative interior contains f_aff(xi) must have codimension dim(carrier).
-    `pieces` are the face's pullback pieces, built here when not given.
+    `pieces` are the face's pullback pieces and `translates` cell translates
+    of the metric covering f_aff(xi); both are built here when not given.
     """
     xi = vec(xi)
     if not face.carrier.contains_relint(xi):
@@ -254,17 +261,21 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
         raise ValueError("xi is not a vertex of the pullback complex")
 
     x = face.f_aff(y)
-    sigma_dim = _complex_face_dim_at(metric, x)
+    sigma_dim = _complex_face_dim_at(metric, x, translates)
     n = spec.cocycle.n
     if face.carrier.dim != n - sigma_dim:
         raise ValueError("non-transversal vertex")
     return _scale(spec, face) * lattice_volume_dual(dual)
 
 
-def _complex_face_dim_at(metric: PeriodicPLFunction, x: Vec) -> int:
-    """Dimension of the decomposition face whose relint contains x."""
-    decomp, _, _ = linearity_cells(metric)
-    for _, _, t in _translates_meeting(decomp, x, x):
+def _complex_face_dim_at(metric: PeriodicPLFunction, x: Vec,
+                         translates: Optional[Sequence[Polytope]] = None) -> int:
+    """Dimension of the decomposition face whose relint contains x, read off
+    the first of `translates` (the cell translates meeting x by default)
+    that contains x."""
+    if translates is None:
+        translates = [t for _, _, t in _translates_meeting(linearity_cells(metric)[0], x, x)]
+    for t in translates:
         if not t.contains(x):
             continue
         tight = [(a, c) for a, c in t.inequalities if dot(a, x) == c]

@@ -448,3 +448,51 @@ def test_uncovered_point_in_degree_is_exit_two(tmp_path, capsys, monkeypatch, tw
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"kind": "algorithmic",
                    "message": "point not covered by the decomposition"}
+
+
+def test_ma_fundamental_checks_its_total_mass(two_tate_json, capsys, monkeypatch):
+    # Σ masses = det(b)·covol(Λ) over a fundamental domain; losing one atom
+    # is a certificate failure, not an artifact
+    import tropma.ma as ma
+
+    original = ma._atom_at
+    calls = []
+
+    def drops_the_first(*args):
+        calls.append(args)
+        return F(0) if len(calls) == 1 else original(*args)
+
+    assert cli.main(["ma", "--in", two_tate_json, "--k", "2", "--fundamental"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 1
+    monkeypatch.setattr(ma, "_atom_at", drops_the_first)
+    assert cli.main(["ma", "--in", two_tate_json, "--k", "2", "--fundamental"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "algorithmic" and "det(b)" in err["message"]
+
+
+def test_degree_looks_up_translates_once_per_face(tmp_path, capsys, monkeypatch, two_tate):
+    import tropma.skeleton as sk
+    from tropma import jsonio as jio
+
+    calls = []
+    original = sk._translates_meeting
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sk, "_translates_meeting", counting)
+    spec_p = tmp_path / "spec.json"
+    spec_p.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
+    f = tangent_pl(two_tate, 2)
+    fp = tmp_path / "f.json"
+    fp.write_text(jio.dumps(jio.enc_function(f)))
+    assert cli.main(["degree", "--in", str(spec_p), "--metric", str(fp)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["degrees"]) > 1 and len(calls) == 1
+    # vertex_degree on its own looks the translates up itself
+    spec = jio.dec_skeleton(json.loads(spec_p.read_text()))
+    face = spec.faces[0]
+    for row in report["degrees"]:
+        xi = tuple(F(x) for x in row["at"])
+        assert jio.enc_q(sk.vertex_degree(spec, face, f, xi)) == row["degree"]
