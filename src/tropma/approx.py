@@ -92,6 +92,10 @@ class ApproxCertificate:
 # ---------------------------------------------------------------------------
 # stage 1: tangent envelopes of the canonical quadratic
 
+# The largest tangent mesh refinement: tangent_pl(c, k) builds k^n pieces, and
+# a tiny epsilon would otherwise ask for a mesh that is never finished.
+MAX_MESH_K = 32
+
 
 def tangent_pl(c: Cocycle, k: int) -> PeriodicPLFunction:
     """Envelope of the tangents of the canonical quadratic at (1/k)Λ.
@@ -103,6 +107,8 @@ def tangent_pl(c: Cocycle, k: int) -> PeriodicPLFunction:
     """
     if k < 1:
         raise ValueError("mesh refinement k must be >= 1")
+    if k > MAX_MESH_K:
+        raise ValueError(f"tangent mesh k = {k} exceeds the limit {MAX_MESH_K}")
     pieces = []
     for j in itertools.product(range(k), repeat=c.n):
         w0 = [Fraction(0)] * c.n

@@ -53,13 +53,21 @@ def _metric_from_path(path: str):
     return jsonio.dec_function(_read(path))
 
 
+def _function_pieces(pieces) -> bool:
+    """Whether a 'pieces' value is read as affine pieces rather than measure
+    pieces; a value of the wrong shape is, so that decoding names the fault."""
+    return (not isinstance(pieces, list) or not pieces or not isinstance(pieces[0], dict)
+            or "m" in pieces[0])
+
+
 def _looks_like_measure(data) -> bool:
     if not isinstance(data, dict):
         return False
     if "atoms" in data:
         return True
-    pieces = data.get("pieces") or []
-    return bool(pieces) and isinstance(pieces[0], dict) and "support" in pieces[0]
+    pieces = data.get("pieces")
+    return isinstance(pieces, list) and bool(pieces) and isinstance(pieces[0], dict) \
+        and "support" in pieces[0]
 
 
 def cmd_validate(args) -> int:
@@ -70,8 +78,7 @@ def cmd_validate(args) -> int:
             kind = "skeleton"
         elif isinstance(data, dict) and "cells" in data:
             kind = "decomposition"
-        elif isinstance(data, dict) and "pieces" in data and (
-                not data["pieces"] or "m" in data["pieces"][0]):
+        elif isinstance(data, dict) and "pieces" in data and _function_pieces(data["pieces"]):
             kind = "function"
         elif isinstance(data, dict) and ("atoms" in data or "pieces" in data):
             kind = "measure"
@@ -121,11 +128,12 @@ def cmd_approximate(args) -> int:
 def cmd_ma(args) -> int:
     if args.k < 1:
         return _fail("validation", "--k must be >= 1", 1)
-    data = _read(args.infile)
+    data = jsonio.dec_object(_read(args.infile), "the input of ma")
     if "pieces" in data:
         f = jsonio.dec_function(data)
     else:
-        c = jsonio.dec_cocycle(data if "periods" in data else data["cocycle"])
+        c = jsonio.dec_cocycle(data if "periods" in data
+                               else jsonio.dec_field(data, "cocycle", "the input of ma"))
         f = tangent_pl(c, args.k)
     region = None
     if args.region:
@@ -191,19 +199,20 @@ def cmd_mass_check(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    data = _read(args.infile)
+    data = jsonio.dec_object(_read(args.infile), "the input of plot")
     decomp = None
     sigma = ()
     measure = None
     if "cells" in data:
         decomp = jsonio.dec_decomposition(data)
-    elif "pieces" in data and data["pieces"] and "m" in data["pieces"][0]:
+    elif data.get("pieces") and _function_pieces(data["pieces"]):
         f = jsonio.dec_function(data)
         if f.cocycle is None or f.cocycle.n != 2:
             return _fail("validation", "plot supports 2-D only", 1)
         decomp = linearity_cells(f)[0]
     if "sigma" in data:
-        sigma = tuple(jsonio.dec_polytope(s) for s in data["sigma"])
+        sigma = tuple(jsonio.dec_polytope(s)
+                      for s in jsonio.dec_list(data, "sigma", "the input of plot"))
     if "measure" in data:
         measure = jsonio.dec_measure(data["measure"])
     elif "atoms" in data and "cells" not in data and decomp is None:

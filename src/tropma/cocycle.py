@@ -8,6 +8,7 @@ group is fixed to Q throughout, so every quantity here is an exact rational.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -77,12 +78,20 @@ class Cocycle:
         return self.ambient.n
 
     def lattice_vector(self, k: Sequence[int]) -> Vec:
-        """The lattice element Σ k_i λ_i."""
-        out = [Fraction(0)] * self.n
-        for ki, lam in zip(k, self.periods):
-            if ki:
-                out = [x + ki * y for x, y in zip(out, lam)]
-        return tuple(out)
+        """The lattice element Σ k_i λ_i, summed on integers."""
+        den, rows = self.integer_periods()
+        return tuple(Fraction(sum(ki * row[j] for ki, row in zip(k, rows) if ki), den)
+                     for j in range(self.n))
+
+    def integer_periods(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, d·periods) for the common denominator d of the period entries."""
+        return self._integer_periods
+
+    @functools.cached_property
+    def _integer_periods(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        den = linalg.common_denominator(x for lam in self.periods for x in lam)
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in lam)
+                          for lam in self.periods)
 
     def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         return dot(x, matvec(self.b, y))
@@ -157,18 +166,16 @@ class Cocycle:
         lam = self.lattice_vector(k)
         return linalg.vsub(x, lam), k
 
+    def fundamental_corners(self) -> tuple[Vec, ...]:
+        """The 2^n corners Σ_{i in S} λ_i of the fundamental parallelepiped at 0."""
+        return self._fundamental_corners
+
+    @functools.cached_property
+    def _fundamental_corners(self) -> tuple[Vec, ...]:
+        return tuple(tuple(sum((lam[j] for use, lam in zip(bits, self.periods) if use),
+                               Fraction(0)) for j in range(self.n))
+                     for bits in itertools.product((0, 1), repeat=self.n))
+
     def fundamental_domain(self) -> Polytope:
         """The closed parallelepiped spanned by the period basis at the origin."""
-        corners = []
-        for bits in _corners(self.n):
-            pt = [Fraction(0)] * self.n
-            for use, lam in zip(bits, self.periods):
-                if use:
-                    pt = [x + y for x, y in zip(pt, lam)]
-            corners.append(tuple(pt))
-        return hull(corners)
-
-
-def _corners(n: int):
-    import itertools
-    return itertools.product((0, 1), repeat=n)
+        return hull(self.fundamental_corners())

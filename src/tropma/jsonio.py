@@ -56,6 +56,29 @@ def dec_bool(v: Any, what: str) -> bool:
     return v
 
 
+def dec_list(d: dict, key: str, what: str, default=None) -> list:
+    """d[key] as a JSON list; a missing key gives default, or an error if None."""
+    if key not in d and default is not None:
+        return default
+    v = dec_field(d, key, what)
+    if not isinstance(v, list):
+        raise FormatError(f"{what} field {key!r} must be a list, got {type(v).__name__}")
+    return v
+
+
+def dec_object(v: Any, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(v).__name__}")
+    return v
+
+
+def dec_field(d: dict, key: str, what: str) -> Any:
+    """d[key], or an error naming the field when it is missing."""
+    if key not in d:
+        raise FormatError(f"{what} is missing {key!r}")
+    return d[key]
+
+
 def enc_vec(v: Vec) -> list:
     return [enc_q(x) for x in v]
 
@@ -100,8 +123,8 @@ def enc_frame(fr: AffineLatticeFrame) -> dict:
 def dec_frame(d: Any) -> AffineLatticeFrame:
     if not isinstance(d, dict):
         raise FormatError("a frame is encoded as {\"basepoint\", \"basis\"}")
-    return AffineLatticeFrame(dec_vec(d["basepoint"]),
-                              tuple(dec_vec(b) for b in d.get("basis", [])))
+    return AffineLatticeFrame(dec_vec(dec_field(d, "basepoint", "frame")),
+                              tuple(dec_vec(b) for b in dec_list(d, "basis", "frame", [])))
 
 
 # -- cocycles and functions ---------------------------------------------------
@@ -138,10 +161,11 @@ def dec_function(d: Any) -> PeriodicPLFunction:
     if not isinstance(d, dict) or "pieces" not in d:
         raise FormatError("a function is encoded as {\"cocycle\", \"pieces\"}")
     pieces = []
-    for p in d["pieces"]:
+    for p in dec_list(d, "pieces", "function"):
         if not isinstance(p, dict):
             raise FormatError("a piece is encoded as {\"m\", \"c\"}")
-        pieces.append(AffinePiece(dec_vec(p["m"]), dec_q(p["c"])))
+        pieces.append(AffinePiece(dec_vec(dec_field(p, "m", "piece")),
+                                  dec_q(dec_field(p, "c", "piece"))))
     c = dec_cocycle(d["cocycle"]) if "cocycle" in d else None
     dims = {len(p.m) for p in pieces}
     if len(dims) > 1 or (c is not None and dims and dims != {c.n}):
@@ -157,8 +181,9 @@ def enc_decomposition(dec: PeriodicDecomposition) -> dict:
 def dec_decomposition(d: Any, cocycle: Cocycle | None = None) -> PeriodicDecomposition:
     if not isinstance(d, dict) or "cells" not in d:
         raise FormatError("a decomposition is encoded as {\"cells\": [...]}")
-    c = cocycle if cocycle is not None else dec_cocycle(d["cocycle"])
-    return PeriodicDecomposition(c, tuple(dec_polytope(x) for x in d["cells"]))
+    c = cocycle if cocycle is not None else dec_cocycle(dec_field(d, "cocycle", "decomposition"))
+    return PeriodicDecomposition(c, tuple(dec_polytope(x)
+                                          for x in dec_list(d, "cells", "decomposition")))
 
 
 # -- measures ------------------------------------------------------------------
@@ -180,12 +205,19 @@ def enc_measure(mu: Measure) -> dict:
 def dec_measure(d: Any) -> Measure:
     if not isinstance(d, dict):
         raise FormatError("a measure is encoded as an object")
-    atoms = tuple(Atom(dec_vec(a["at"]), dec_q(a["mass"]), a.get("label", ""))
-                  for a in d.get("atoms", []))
-    pieces = tuple(LebesguePiece(dec_polytope(p["support"]), dec_frame(p["frame"]),
-                                 dec_q(p["density"]), p.get("label", ""))
-                   for p in d.get("pieces", []))
-    mu = Measure(atoms, pieces)
+    atoms = []
+    for a in dec_list(d, "atoms", "measure", []):
+        a = dec_object(a, "measure atom")
+        atoms.append(Atom(dec_vec(dec_field(a, "at", "measure atom")),
+                          dec_q(dec_field(a, "mass", "measure atom")), a.get("label", "")))
+    pieces = []
+    for p in dec_list(d, "pieces", "measure", []):
+        p = dec_object(p, "measure piece")
+        pieces.append(LebesguePiece(dec_polytope(dec_field(p, "support", "measure piece")),
+                                    dec_frame(dec_field(p, "frame", "measure piece")),
+                                    dec_q(dec_field(p, "density", "measure piece")),
+                                    p.get("label", "")))
+    mu = Measure(tuple(atoms), tuple(pieces))
     if "total" in d and dec_q(d["total"]) != total_mass(mu):
         raise FormatError("measure total does not match its contents")
     return mu
@@ -220,24 +252,30 @@ def dec_skeleton(d: Any) -> SkeletonSpec:
         if key not in d:
             raise FormatError(f"skeleton spec is missing {key!r}")
     faces = []
-    for fd in d["faces"]:
-        fa = fd.get("f_aff", {})
+    for fd in dec_list(d, "faces", "skeleton spec"):
+        fd = dec_object(fd, "skeleton face")
+        fa = dec_object(fd.get("f_aff", {}), "face field 'f_aff'")
         faces.append(SkeletonFace(
-            id=str(fd["id"]),
-            carrier=dec_polytope(fd["carrier"]),
-            frame=dec_frame(fd["frame"]),
-            e=dec_int(fd["e"], "face field 'e'"),
-            deg_h=dec_q(fd["degH"]),
-            f_aff_linear=dec_mat(fa["L"]),
-            f_aff_offset=dec_vec(fa["t"]),
-            abelian_nondegenerate=dec_bool(fd["abelian_nondegenerate"],
+            id=str(dec_field(fd, "id", "skeleton face")),
+            carrier=dec_polytope(dec_field(fd, "carrier", "skeleton face")),
+            frame=dec_frame(dec_field(fd, "frame", "skeleton face")),
+            e=dec_int(dec_field(fd, "e", "skeleton face"), "face field 'e'"),
+            deg_h=dec_q(dec_field(fd, "degH", "skeleton face")),
+            f_aff_linear=dec_mat(dec_field(fa, "L", "face field 'f_aff'")),
+            f_aff_offset=dec_vec(dec_field(fa, "t", "face field 'f_aff'")),
+            abelian_nondegenerate=dec_bool(dec_field(fd, "abelian_nondegenerate", "skeleton face"),
                                            "face field 'abelian_nondegenerate'"),
-            boundary_ids=tuple(fd.get("boundary", ())),
+            boundary_ids=tuple(dec_list(fd, "boundary", "skeleton face", [])),
         ))
-    gluing = tuple(Gluing(str(g["a"]), str(g["b"]), dec_mat(g["L"]), dec_vec(g["t"]))
-                   for g in d.get("gluing", ()))
+    gluing = []
+    for g in dec_list(d, "gluing", "skeleton spec", []):
+        g = dec_object(g, "skeleton gluing")
+        gluing.append(Gluing(str(dec_field(g, "a", "skeleton gluing")),
+                             str(dec_field(g, "b", "skeleton gluing")),
+                             dec_mat(dec_field(g, "L", "skeleton gluing")),
+                             dec_vec(dec_field(g, "t", "skeleton gluing"))))
     return SkeletonSpec(dec_cocycle(d["cocycle"]), dec_int(d["d"], "skeleton field 'd'"),
-                        tuple(faces), gluing)
+                        tuple(faces), tuple(gluing))
 
 
 # -- approximation requests and certificates ------------------------------------
@@ -255,7 +293,7 @@ def dec_request(d: Any, eps=None, seed=None, max_retries=None) -> ApproxRequest:
         cocycle = dec_cocycle(d)
     else:
         raise FormatError("request needs a 'cocycle' or a 'function' target")
-    sigma = tuple(dec_polytope(s) for s in d.get("sigma", ()))
+    sigma = tuple(dec_polytope(s) for s in dec_list(d, "sigma", "request", []))
     n = cocycle.n if cocycle is not None else function.n
     if any(s.ambient_dim != n for s in sigma):
         raise FormatError(f"sigma polytopes must lie in the target's dimension {n}")

@@ -1,9 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything in this module operates on tuples of `fractions.Fraction` (vectors)
-and tuples of such tuples (matrices, row-major).  No floating point is used;
-results are exact.  The routines are written for the small dimensions that
-polyhedral computations in this package need (n <= ~8), not for bulk numerics.
+and tuples of such tuples (matrices, row-major); ints are accepted as entries.
+No floating point is used; results are exact.  The routines are written for
+the small dimensions that polyhedral computations in this package need
+(n <= ~8), not for bulk numerics.
+
+Elimination is fraction-free.  `rank`, `solve`, `nullspace` and `inverse`
+scale each row once to a primitive integer row and row-reduce on Python ints,
+dividing each new row by its gcd (`_eliminate`); `det` is Bareiss's
+elimination (Math. Comp. 22, 1968).  Fractions are built only for the values
+returned, and they are exactly the ones a Fraction elimination gives, since
+the reduced row echelon form is unique.
 """
 
 from __future__ import annotations
@@ -72,94 +80,136 @@ def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled once by a positive rational to a primitive integer row."""
+    out = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        ints = [x.numerator * (den // x.denominator) for x in r]
+        g = math.gcd(*ints)
+        if g > 1:
+            ints = [v // g for v in ints]
+        out.append(ints)
+    return out
+
+
+def _eliminate(m: list[list[int]], full: bool) -> list[int]:
+    """Row-reduce integer rows in place; returns the pivot columns.
+
+    Pivot row r ends with its leading entry in column pivots[r] and zeros
+    below it; with `full` it also has zeros above, so m[r][j] / m[r][pivots[r]]
+    is the reduced row echelon form, which is unique.  Each new row is an
+    integer combination of two rows divided by its gcd, so the entries stay
+    small and no Fraction is built.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if full else r + 1, nrows):
+            a = m[i][c]
+            if i == r or not a:
+                continue
+            g = math.gcd(p, a)
+            pg, ag = p // g, a // g
+            row = [pg * x - ag * y for x, y in zip(m[i], prow)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+            m[i] = row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
-    return len(rref(rows)[1])
+    return len(_eliminate(_int_rows(rows), full=False))
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+
+    Row i is scaled by the lcm d_i of its denominators; every division by the
+    previous pivot is then exact, and the last pivot is the determinant of the
+    scaled matrix, d_1···d_n times the determinant of m.
+    """
     n = len(m)
-    a = [list(map(Fraction, r)) for r in m]
-    result = Fraction(1)
+    a = []
+    den = 1
+    for r in m:
+        d = math.lcm(*(x.denominator for x in r))
+        a.append([x.numerator * (d // x.denominator) for x in r])
+        den *= d
+    sign, prev = 1, 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        piv = next((i for i in range(c, n) if a[i][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = Fraction(1) / a[c][c]
+            sign = -sign
+        p, prow = a[c][c], a[c]
         for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+            ai, aic = a[i], a[i][c]
+            for j in range(c + 1, n):
+                ai[j] = (p * ai[j] - aic * prow[j]) // prev
+        prev = p
+    return Fraction(sign * prev, den)
 
 
 def inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
     n = len(m)
-    aug = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    aug = _int_rows([list(row) + [1 if i == j else 0 for j in range(n)]
+                     for i, row in enumerate(m)])
+    pivots = _eliminate(aug, full=True)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(aug))
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
-    """Solve a x = b.  Returns one solution as a Vec, or None if inconsistent."""
+    """Solve a x = b.  Returns one solution as a Vec, or None if inconsistent.
+
+    Free variables are 0, so the solution is the one the reduced row echelon
+    form of [a | b] gives.
+    """
     ncols = len(a[0]) if a else len(b)
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
+    aug = _int_rows([list(row) + [bi] for row, bi in zip(a, b)])
+    pivots = _eliminate(aug, full=True)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
+    for row, c in zip(aug, pivots):
+        x[c] = Fraction(row[-1], row[c])
     return tuple(x)
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : rows @ x = 0} over the rationals."""
+    """Basis of {x : rows @ x = 0} over the rationals, one vector per free column."""
     if not rows:
         n = ncols if ncols is not None else 0
         return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
     n = len(rows[0])
-    red, pivots = rref(rows)
+    red = _int_rows(rows)
+    pivots = _eliminate(red, full=True)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
         x = [Fraction(0)] * n
         x[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            x[c] = -red[r][f]
+        for row, c in zip(red, pivots):
+            x[c] = Fraction(-row[f], row[c])
         basis.append(tuple(x))
     return basis
 

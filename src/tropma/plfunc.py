@@ -52,15 +52,21 @@ class TranslatedPiece:
 
 
 def translate_piece(c: Cocycle, p: AffinePiece, k: Sequence[int]) -> AffinePiece:
-    """Cocycle translate of a piece by the lattice element with coordinates k."""
+    """Cocycle translate of a piece by the lattice element with coordinates k.
+
+    Computed on integers from the cocycle's cached data (`_QuadraticData`):
+    the slope moves by the integer vector Σ k_i·b·λ_i and the constant by
+    -<g, k> - kᵀBk/2.
+    """
     k = tuple(int(x) for x in k)
     if all(x == 0 for x in k):
         return p
-    lam = c.lattice_vector(k)
-    m2 = linalg.vadd(p.m, linalg.matvec(c.b, lam))
-    c2 = p.c - dot(p.m, lam) + c.constant_at(k) - c.bilinear(lam, lam)
-    anchor = linalg.vadd(p.anchor, lam) if p.anchor is not None else None
-    return AffinePiece(m2, c2, anchor)
+    q = _cocycle_quadratic_data(c)
+    scale = _translate_scale(q, (p,))
+    m_int, c_int = _translate_ints(q, _piece_ints(q, p, scale), scale, k,
+                                   _quad_form(q.b_int, k))
+    anchor = linalg.vadd(p.anchor, c.lattice_vector(k)) if p.anchor is not None else None
+    return AffinePiece(tuple(Fraction(v, scale) for v in m_int), Fraction(c_int, scale), anchor)
 
 
 class PeriodicPLFunction:
@@ -129,7 +135,8 @@ class _EnvelopeScan:
     affine lower bound max_p min_box(piece p) is enumerated, so the max over
     the entries equals the envelope exactly anywhere in the box, ties included.
     The per-entry data is integerized over a common denominator so the hot
-    comparison loop runs on Python ints.
+    comparison loop runs on Python ints; `_enumerate_entries` builds it from
+    the same integers it scores the translates with.
     """
 
     def __init__(self, f: PeriodicPLFunction, lo: Vec, hi: Vec):
@@ -140,15 +147,15 @@ class _EnvelopeScan:
         c = f.cocycle
         if c is None:
             self.entries = [TranslatedPiece(p, i, ()) for i, p in enumerate(f.pieces)]
+            den = linalg.common_denominator(
+                [x for p in f.pieces for x in p.m] + [p.c for p in f.pieces])
+            self.den = den
+            self._ints = [(tuple(int(x * den) for x in p.m), int(p.c * den)) for p in f.pieces]
         else:
             if not c.polarized:
                 raise UnpolarizedError("envelope diverges")
             self.entries = _enumerate_entries(f, lo, hi)
-        den = linalg.common_denominator(
-            [x for e in self.entries for x in e.piece.m] + [e.piece.c for e in self.entries])
-        self.den = den
-        self._ints = [(tuple(int(x * den) for x in e.piece.m), int(e.piece.c * den))
-                      for e in self.entries]
+            self.den, self._ints = self.entries.den, self.entries.ints
         self.anchors_float = [
             tuple(float(x) for x in e.piece.anchor) if e.piece.anchor is not None else None
             for e in self.entries]
@@ -201,28 +208,48 @@ def _box_corners(lo: Vec, hi: Vec) -> list[Vec]:
 
 
 class _QuadraticData(NamedTuple):
-    """Per-cocycle data of the translate values.
+    """Per-cocycle data of the translates, mostly over Python ints.
 
-    The translate of a piece p by lattice coordinates k has the value
-    p(x) + <h, k> - kᵀBk/2 at x, with B = periods·b·periodsᵀ and
-    h = pb·x - periods·m_p + ℓ, where pb = periods·b and ℓ is the cocycle's
-    linear part on the period basis.  B = b_int / b_den over Python ints.
+    The translate of a piece p by lattice coordinates k has the slope
+    m_p + pbᵀk and the constant c_p - <g_p, k> - kᵀBk/2, with pb = periods·b,
+    B = periods·b·periodsᵀ and g_p = periods·m_p - ℓ, where ℓ is the
+    cocycle's linear part on the period basis.  Its value at x is
+    p(x) + <h, k> - kᵀBk/2 with h = pb·x - g_p.  pb is kept over ints, since
+    b·λ ∈ Z^n; B = b_int / b_den, periods = lam_int / lam_den (from
+    `Cocycle.integer_periods`) and ℓ = ell_int / ell_den over Python ints.
+    big_b_inv is None when B is singular (an unpolarized b), and period_inv
+    maps x to its lattice coordinates.
     """
 
-    big_b_inv: Mat
+    big_b_inv: Optional[Mat]
     ell: Vec
-    pb: Mat
+    pb: tuple[tuple[int, ...], ...]
     b_den: int
     b_int: tuple[tuple[int, ...], ...]
+    lam_den: int
+    lam_int: tuple[tuple[int, ...], ...]
+    ell_den: int
+    ell_int: tuple[int, ...]
+    period_inv: Mat
 
 
 @functools.lru_cache(maxsize=64)
 def _cocycle_quadratic_data(c: Cocycle) -> _QuadraticData:
     pb = linalg.matmul(c.periods, c.b)
     big_b = linalg.matmul(pb, linalg.transpose(c.periods))
+    try:
+        big_b_inv = linalg.inverse(big_b)
+    except ValueError:
+        big_b_inv = None
+    ell = c.linear_part_on_basis()
     b_den = linalg.common_denominator(x for row in big_b for x in row)
     b_int = tuple(tuple(_scaled_int(x, b_den) for x in row) for row in big_b)
-    return _QuadraticData(linalg.inverse(big_b), c.linear_part_on_basis(), pb, b_den, b_int)
+    lam_den, lam_int = c.integer_periods()
+    ell_den = linalg.common_denominator(ell)
+    return _QuadraticData(big_b_inv, ell, tuple(tuple(int(x) for x in row) for row in pb),
+                          b_den, b_int, lam_den, lam_int,
+                          ell_den, tuple(_scaled_int(x, ell_den) for x in ell),
+                          linalg.inverse(c.period_columns()))
 
 
 def _scaled_int(x: Fraction, den: int) -> int:
@@ -235,11 +262,40 @@ def _quad_form(q_int: Sequence[Sequence[int]], k: Sequence[int]) -> int:
     return sum(ki * sum(a * kj for a, kj in zip(row, k)) for ki, row in zip(k, q_int) if ki)
 
 
+def _translate_scale(q: _QuadraticData, pieces: Sequence[AffinePiece]) -> int:
+    """A scale s that makes s·m_p, s·c_p, s·g_p and s·B/2 integral for every
+    piece, so that every translate of the pieces is integral at scale s."""
+    dm = linalg.common_denominator(x for p in pieces for x in p.m)
+    dc = linalg.common_denominator(p.c for p in pieces)
+    return math.lcm(dm * q.lam_den, dc, q.ell_den, 2 * q.b_den)
+
+
+def _piece_ints(q: _QuadraticData, p: AffinePiece, scale: int):
+    """(s·m_p, s·c_p, s·g_p) at a scale s from `_translate_scale`."""
+    m_int = tuple(_scaled_int(x, scale) for x in p.m)
+    ell_scale = scale // q.ell_den
+    g_int = tuple(sum(a * b for a, b in zip(row, m_int)) // q.lam_den - e * ell_scale
+                  for row, e in zip(q.lam_int, q.ell_int))
+    return m_int, _scaled_int(p.c, scale), g_int
+
+
+def _translate_ints(q: _QuadraticData, rep, scale: int, k: Sequence[int],
+                    quad: int) -> tuple[tuple[int, ...], int]:
+    """(s·m', s·c') of the translate by k of the piece with `_piece_ints` rep,
+    given quad = kᵀ·b_int·k."""
+    m_int, c_int, g_int = rep
+    shift = [scale * sum(ki * row[j] for ki, row in zip(k, q.pb) if ki)
+             for j in range(len(m_int))]
+    m2 = tuple(a + b for a, b in zip(m_int, shift))
+    c2 = c_int - sum(g * ki for g, ki in zip(g_int, k)) - scale // (2 * q.b_den) * quad
+    return m2, c2
+
+
 def _integer_form(q: _QuadraticData, forms, extra: Sequence[Fraction] = ()):
     """Scale (h, base) forms and extra values to ints over one common denominator.
 
-    Returns (int forms, int extras, Q) with den·B = Q, so that for each form
-    2·den·(base + <h, k> - kᵀBk/2) = base' + <h', k> - kᵀQk.
+    Returns (int forms, int extras, t) with den·B = t·b_int, so that for each
+    form 2·den·(base + <h, k> - kᵀBk/2) = base' + <h', k> - t·kᵀ·b_int·k.
     """
     den = math.lcm(q.b_den, linalg.common_denominator(
         itertools.chain(extra, (v for h, base in forms for v in (*h, base)))))
@@ -247,9 +303,7 @@ def _integer_form(q: _QuadraticData, forms, extra: Sequence[Fraction] = ()):
     int_forms = [(tuple(_scaled_int(v, two) for v in h), _scaled_int(base, two))
                  for h, base in forms]
     int_extra = [_scaled_int(v, two) for v in extra]
-    scale = den // q.b_den
-    q_int = tuple(tuple(scale * a for a in row) for row in q.b_int)
-    return int_forms, int_extra, q_int
+    return int_forms, int_extra, den // q.b_den
 
 
 def _translate_forms(f: PeriodicPLFunction, q: _QuadraticData, points: Sequence[Vec]
@@ -307,7 +361,7 @@ def _point_envelope_entry(f: PeriodicPLFunction, x: Vec) -> AffinePiece:
     q = _cocycle_quadratic_data(f.cocycle)
     forms = [row[0] for row in _translate_forms(f, q, [x])]
     t0 = max(base for _, base in forms)
-    int_forms, _, q_int = _integer_form(q, forms)
+    int_forms, _, t = _integer_form(q, forms)
     best = None
     winner = None
     for pi, ((h, base), (h_int, base_int)) in enumerate(zip(forms, int_forms)):
@@ -315,13 +369,23 @@ def _point_envelope_entry(f: PeriodicPLFunction, x: Vec) -> AffinePiece:
         if box is None:
             continue
         for k in itertools.product(*box):
-            v = base_int + sum(a * b for a, b in zip(h_int, k)) - _quad_form(q_int, k)
+            v = base_int + sum(a * b for a, b in zip(h_int, k)) - t * _quad_form(q.b_int, k)
             if best is None or v > best:
                 best, winner = v, (pi, k)
     return translate_piece(f.cocycle, f.pieces[winner[0]], winner[1])
 
 
-def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> list[TranslatedPiece]:
+class _Entries(list):
+    """Scan entries (TranslatedPiece) with their pieces over Python ints:
+    ints[i] = (den·m, den·c) of entry i, for the least common denominator den."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+        self.ints: list[tuple[tuple[int, ...], int]] = []
+
+
+def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
     """All translates that can attain the envelope somewhere on the box.
 
     A crude affine lower bound first collects a superset of candidates; exact
@@ -330,8 +394,8 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> list[Translat
     that provably stays below the envelope on the whole box.  The survivors
     are a superset of every argmax set over the box, so evaluation results do
     not depend on the pruning.  The comparisons run on the integer form of
-    the candidates' values at the box corners, and only survivors are
-    translated.
+    the candidates' values at the box corners, and the survivors' slopes and
+    constants are derived on integers too (`_translate_ints`).
     """
     c = f.cocycle
     n = c.n
@@ -350,16 +414,32 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> list[Translat
 
     nc = len(corners)
     forms = [hmap[(pi, xi)] for pi in range(len(f.pieces)) for xi in range(nc)]
-    int_forms, int_mvals, q_int = _integer_form(q, forms, mvals)
+    int_forms, int_mvals, t = _integer_form(q, forms, mvals)
     by_rep = [int_forms[i:i + nc] for i in range(0, len(int_forms), nc)]
     floors = [int_mvals[i:i + nc] for i in range(0, len(int_mvals), nc)]
 
-    out = []
+    scale = _translate_scale(q, f.pieces)
+    reps = [_piece_ints(q, p, scale) for p in f.pieces]
+    kept = []
     for pi, k in sorted(cand):
-        quad = _quad_form(q_int, k)
+        raw = _quad_form(q.b_int, k)
+        quad = t * raw
         vals = [base + sum(a * b for a, b in zip(h, k)) - quad for h, base in by_rep[pi]]
         if all(any(v >= mv for v, mv in zip(vals, row)) for row in floors):
-            out.append(TranslatedPiece(translate_piece(c, f.pieces[pi], k), pi, k))
+            kept.append((pi, k, *_translate_ints(q, reps[pi], scale, k, raw)))
+
+    # reduce scale to the least common denominator of all kept slopes and constants
+    g = math.gcd(scale, *(v for _, _, m_int, c_int in kept for v in (*m_int, c_int)))
+    den = scale // g
+    out = _Entries(den)
+    for pi, k, m_int, c_int in kept:
+        m_int = tuple(v // g for v in m_int)
+        c_int //= g
+        out.ints.append((m_int, c_int))
+        p = f.pieces[pi]
+        anchor = linalg.vadd(p.anchor, c.lattice_vector(k)) if p.anchor is not None else None
+        piece = AffinePiece(tuple(Fraction(v, den) for v in m_int), Fraction(c_int, den), anchor)
+        out.append(TranslatedPiece(piece, pi, k))
     return out
 
 
@@ -378,14 +458,7 @@ def evaluate(f: PeriodicPLFunction, omega: Sequence) -> tuple[Fraction, list[Tra
 
 
 def _fundamental_bbox(c: Cocycle) -> tuple[Vec, Vec]:
-    corners = []
-    for bits in itertools.product((0, 1), repeat=c.n):
-        pt = [Fraction(0)] * c.n
-        for use, lam in zip(bits, c.periods):
-            if use:
-                pt = [x + y for x, y in zip(pt, lam)]
-        corners.append(tuple(pt))
-    cols = list(zip(*corners))
+    cols = list(zip(*c.fundamental_corners()))
     return tuple(min(col) for col in cols), tuple(max(col) for col in cols)
 
 
@@ -412,7 +485,7 @@ def _k_box(c: Cocycle, target_lo: Vec, target_hi: Vec,
     """Integer ranges covering all k with bbox(cell + Σ k_i λ_i) meeting the target."""
     lo = vsub(target_lo, cell_hi)
     hi = vsub(target_hi, cell_lo)
-    pinv = linalg.inverse(c.period_columns())
+    pinv = _cocycle_quadratic_data(c).period_inv
     mins = [None] * c.n
     maxs = [None] * c.n
     for x in _box_corners(lo, hi):

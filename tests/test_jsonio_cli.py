@@ -385,6 +385,57 @@ class TestIntegersAndShapes:
             "error"]["message"]
 
 
+class TestJsonShapes:
+    """A field of the wrong JSON shape is a validation error that names it."""
+
+    @pytest.mark.parametrize("args, data, words", [
+        (["validate", "--kind", "function"], {"cocycle": ID2, "pieces": 5},
+         ["function field 'pieces' must be a list"]),
+        (["validate"], {"cocycle": ID2, "pieces": 5}, ["function field 'pieces'"]),
+        (["approximate"], {"cocycle": ID2, "sigma": 5}, ["request field 'sigma' must be a list"]),
+        (["validate", "--kind", "skeleton"], {"cocycle": ID2, "d": 2, "faces": 5},
+         ["skeleton spec field 'faces' must be a list"]),
+        (["validate", "--kind", "skeleton"], {"cocycle": ID2, "d": 2, "faces": [5]},
+         ["skeleton face must be a JSON object"]),
+        (["validate", "--kind", "skeleton"],
+         {"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE], "gluing": 5},
+         ["skeleton spec field 'gluing' must be a list"]),
+        (["validate", "--kind", "skeleton"],
+         {"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE], "gluing": [5]},
+         ["skeleton gluing must be a JSON object"]),
+        (["validate", "--kind", "measure"], {"atoms": 5},
+         ["measure field 'atoms' must be a list"]),
+        (["validate", "--kind", "measure"], {"atoms": [5]},
+         ["measure atom must be a JSON object"]),
+        (["validate", "--kind", "measure"], {"atoms": [{"at": [0]}]},
+         ["measure atom is missing 'mass'"]),
+        (["validate", "--kind", "measure"], {"pieces": 5},
+         ["measure field 'pieces' must be a list"]),
+        (["validate", "--kind", "decomposition"], {"cocycle": ID2, "cells": 5},
+         ["decomposition field 'cells' must be a list"]),
+    ])
+    def test_wrong_shape_is_a_validation_error(self, tmp_path, capsys, args, data, words):
+        assert _run_cli(tmp_path, args, data) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert all(w in err["message"] for w in words), err["message"]
+
+    def test_tiny_eps_names_the_mesh(self, tmp_path, capsys):
+        # ε = 1e-300 asks for a mesh of about 7·10^149 points per period
+        assert _run_cli(tmp_path, ["approximate", "--eps", "1e-300"], {"cocycle": ID2}) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert "tangent mesh k = " in err["message"] and "exceeds the limit" in err["message"]
+
+    def test_ma_mesh_above_the_limit(self, tate_json, capsys):
+        from tropma.approx import MAX_MESH_K
+        assert cli.main(["ma", "--in", tate_json, "--k", str(MAX_MESH_K + 1)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "validation",
+                       "message": f"tangent mesh k = {MAX_MESH_K + 1} exceeds the limit "
+                                  f"{MAX_MESH_K}"}
+
+
 def test_optimized_python_gives_the_same_artifact(tmp_path):
     # every certificate is an explicit check, so python -O changes nothing
     import os

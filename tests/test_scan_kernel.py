@@ -1,9 +1,10 @@
 """The integer kernel of the envelope scan against the plain Fraction code.
 
 `_enumerate_entries` scores candidate translates by the integer form of their
-values and `_point_envelope_entry` translates only its winner.  Both are
-compared here with a direct Fraction implementation of the same rules over
-random small polarized cocycles in dimensions 1 to 3.
+values and derives the kept translates on integers; `_point_envelope_entry`
+translates only its winner.  Both are compared here with a direct Fraction
+implementation of the same rules, translates included, over random small
+polarized cocycles in dimensions 1 to 3.
 """
 
 import itertools
@@ -11,13 +12,14 @@ from fractions import Fraction as F
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_int_kernels import reference_translate
 
 from tropma import linalg
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot, vec, vsub
 from tropma.plfunc import (AffinePiece, PeriodicPLFunction, TranslatedPiece,
                            _box_corners, _candidate_ks, _enumerate_entries,
-                           _point_envelope_entry, translate_piece)
+                           _point_envelope_entry)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -84,7 +86,7 @@ def reference_point_entry(f, x):
     cand, _, _ = reference_candidates(f, [x], t0)
     best_val = best = None
     for pi, k in sorted(cand):
-        piece = translate_piece(f.cocycle, f.pieces[pi], k)
+        piece = reference_translate(f.cocycle, f.pieces[pi], k)
         v = piece.value(x)
         if best_val is None or v > best_val:
             best_val, best = v, piece
@@ -109,7 +111,7 @@ def reference_entries(f, lo, hi):
         vals = [hmap[(pi, xi)][1] + dot(hmap[(pi, xi)][0], kf) - quad
                 for xi in range(len(corners))]
         if all(any(v >= mv for v, mv in zip(vals, row)) for row in mvals):
-            out.append(TranslatedPiece(translate_piece(c, f.pieces[pi], k), pi, k))
+            out.append(TranslatedPiece(reference_translate(c, f.pieces[pi], k), pi, k))
     return out
 
 
@@ -128,6 +130,12 @@ def test_entries_match_fraction_pruning(data):
     want = reference_entries(f, lo, hi)
     assert [(e.rep_index, e.k, e.piece.m, e.piece.c) for e in got] == \
         [(e.rep_index, e.k, e.piece.m, e.piece.c) for e in want]
+    # the integer form the scan compares with: least common denominator and numerators
+    den = linalg.common_denominator([x for e in want for x in e.piece.m] +
+                                    [e.piece.c for e in want])
+    assert got.den == den
+    assert got.ints == [(tuple(int(x * den) for x in e.piece.m), int(e.piece.c * den))
+                        for e in want]
 
 
 @SETTINGS
@@ -143,7 +151,7 @@ def test_point_entry_is_first_maximum(data, ts, tangent):
     t0 = max(p.value(x) for p in f.pieces)
     cand, _ = _candidate_ks(f, [x], t0)
     assume(len(cand) <= 1500)
-    translates = [translate_piece(c, f.pieces[pi], k) for pi, k in sorted(cand)]
+    translates = [reference_translate(c, f.pieces[pi], k) for pi, k in sorted(cand)]
     top = max(t.value(x) for t in translates)
     first = next(t for t in translates if t.value(x) == top)
     got = _point_envelope_entry(f, x)
