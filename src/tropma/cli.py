@@ -23,7 +23,7 @@ from .jsonio import FormatError
 from .ma import ma_pl, total_mass
 from .plfunc import (CellWalkError, CertificateError, check_cocycle_rule, check_periodic,
                      linearity_cells)
-from .skeleton import assemble_measure, check_nondegenerate, face_degrees
+from .skeleton import assemble_measure, face_measures, skeleton_degrees
 from .svgplot import render
 
 
@@ -158,13 +158,9 @@ def cmd_degree(args) -> int:
         return _fail("validation", "degree needs a PL metric file", 1)
     rows = []
     total = Fraction(0)
-    for face in sorted(spec.faces, key=lambda f: f.id):
-        if not check_nondegenerate(spec, face):
-            continue
-        for xi, deg in face_degrees(spec, face, metric):
-            rows.append({"face": face.id, "at": jsonio.enc_vec(xi),
-                         "degree": jsonio.enc_q(deg)})
-            total += deg
+    for face, xi, deg in skeleton_degrees(spec, metric):
+        rows.append({"face": face.id, "at": jsonio.enc_vec(xi), "degree": jsonio.enc_q(deg)})
+        total += deg
     _write(args.out, jsonio.dumps({"degrees": rows, "total": jsonio.enc_q(total)}))
     return 0
 
@@ -181,10 +177,7 @@ def cmd_mass_check(args) -> int:
             totals[mpath] = total_mass(mu)
             continue
         metric = "canonical" if mpath == "canonical" else jsonio.dec_function(data)
-        table = {}
-        for face in sorted(spec.faces, key=lambda f: f.id):
-            from .skeleton import face_measure
-            table[face.id] = total_mass(face_measure(spec, face, metric))
+        table = {face.id: total_mass(mu) for face, mu in face_measures(spec, metric)}
         per_face[mpath] = {k: jsonio.enc_q(v) for k, v in table.items()}
         totals[mpath] = sum(table.values(), Fraction(0))
     values = list(totals.values())

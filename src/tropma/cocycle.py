@@ -107,6 +107,10 @@ class Cocycle:
 
     def linear_covector(self) -> Vec:
         """The covector ℓ with <ℓ, λ_i> = z_{λ_i}(0) - b(λ_i,λ_i)/2."""
+        return self._linear_covector
+
+    @functools.cached_property
+    def _linear_covector(self) -> Vec:
         ell = linalg.solve(self.periods, self.linear_part_on_basis())
         if ell is None:
             raise ValueError("period vectors are linearly dependent")

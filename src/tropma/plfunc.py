@@ -99,7 +99,13 @@ class PeriodicPLFunction:
         return self._cells_cache[0] if self._cells_cache else None
 
     def scan_for(self, lo: Vec, hi: Vec) -> "_EnvelopeScan":
-        """A certified finite competitor family valid on the box [lo, hi]."""
+        """A certified finite competitor family valid on the box [lo, hi].
+
+        The last scan is reused while its box covers [lo, hi]; otherwise one
+        scan is built for the union of the two boxes and replaces it.  A
+        caller with several boxes requests their union once and re-prunes it
+        per box with `_EnvelopeScan.entries_on`.
+        """
         if self._scan is not None and self._scan.covers(lo, hi):
             return self._scan
         if self._scan is not None:
@@ -131,12 +137,13 @@ def _default_collar(f: PeriodicPLFunction) -> Fraction:
 class _EnvelopeScan:
     """All translates that can reach the envelope somewhere on a fixed box.
 
-    Every translate whose value at some point of the box meets or exceeds the
-    affine lower bound max_p min_box(piece p) is enumerated, so the max over
-    the entries equals the envelope exactly anywhere in the box, ties included.
+    The entries are the translates that `_enumerate_entries` cannot rule out
+    on the box, a superset of every argmax set there, so the max over the
+    entries equals the envelope exactly anywhere in the box, ties included.
     The per-entry data is integerized over a common denominator so the hot
     comparison loop runs on Python ints; `_enumerate_entries` builds it from
-    the same integers it scores the translates with.
+    the same integers it scores the translates with.  `entries_on` re-prunes
+    the entries to a smaller box inside this one.
     """
 
     def __init__(self, f: PeriodicPLFunction, lo: Vec, hi: Vec):
@@ -163,6 +170,25 @@ class _EnvelopeScan:
     def covers(self, lo: Vec, hi: Vec) -> bool:
         return all(a <= b for a, b in zip(self.lo, lo)) and \
             all(a >= b for a, b in zip(self.hi, hi))
+
+    def entries_on(self, lo: Vec, hi: Vec) -> list[TranslatedPiece]:
+        """The entries that can attain the envelope on the box [lo, hi] inside
+        this scan's box, by the scan's own pruning rule (`_may_attain`).
+
+        The minorants are the first argmax entries at the grid points of
+        [lo, hi]; the entries are in (rep, k) order, so they are the same
+        translates `_enumerate_entries` takes as minorants for that box.
+        """
+        if not self.covers(lo, hi):
+            raise ValueError("the box is not inside the scan's box")
+        corners = _box_corners(lo, hi)
+        dw = linalg.common_denominator(x for w in corners for x in w)
+        ws = [tuple(_scaled_int(x, dw) for x in w) for w in corners]
+        vals = [[sum(a * b for a, b in zip(m, w)) + ci * dw for w in ws]
+                for m, ci in self._ints]
+        floors = [vals[i] for i in sorted({self.eval(gp)[1][0]
+                                           for gp in _grid_points(lo, hi)})]
+        return [e for e, v in zip(self.entries, vals) if _may_attain(v, floors)]
 
     def eval(self, point: Vec) -> tuple[Fraction, tuple[int, ...]]:
         """Exact envelope value and the indices of all entries attaining it."""
@@ -203,12 +229,27 @@ class _EnvelopeScan:
 
 
 def _box_corners(lo: Vec, hi: Vec) -> list[Vec]:
-    return [tuple(pair[b] for pair, b in zip(zip(lo, hi), bits))
-            for bits in itertools.product((0, 1), repeat=len(lo))]
+    """The distinct corners of the box [lo, hi]."""
+    return list(dict.fromkeys(tuple(pair[b] for pair, b in zip(zip(lo, hi), bits))
+                              for bits in itertools.product((0, 1), repeat=len(lo))))
+
+
+def _grid_points(lo: Vec, hi: Vec) -> list[Vec]:
+    """The interior grid at which the scan takes its exact envelope minorants."""
+    grid = 3 if len(lo) <= 2 else 2
+    return [tuple(a + (b - a) * Fraction(2 * s + 1, 2 * grid) for a, b, s in zip(lo, hi, steps))
+            for steps in itertools.product(range(grid), repeat=len(lo))]
+
+
+def _may_attain(vals: Sequence[int], floors: Sequence[Sequence[int]]) -> bool:
+    """The scan's pruning rule: a translate with values vals at the corners of a
+    box can attain the envelope on the box unless one exact minorant (a row of
+    floors, its values at the same corners) beats it at every corner."""
+    return all(any(v >= mv for v, mv in zip(vals, row)) for row in floors)
 
 
 class _QuadraticData(NamedTuple):
-    """Per-cocycle data of the translates, mostly over Python ints.
+    """Per-cocycle data of the translates, over Python ints.
 
     The translate of a piece p by lattice coordinates k has the slope
     m_p + pbᵀk and the constant c_p - <g_p, k> - kᵀBk/2, with pb = periods·b,
@@ -216,13 +257,13 @@ class _QuadraticData(NamedTuple):
     cocycle's linear part on the period basis.  Its value at x is
     p(x) + <h, k> - kᵀBk/2 with h = pb·x - g_p.  pb is kept over ints, since
     b·λ ∈ Z^n; B = b_int / b_den, periods = lam_int / lam_den (from
-    `Cocycle.integer_periods`) and ℓ = ell_int / ell_den over Python ints.
-    big_b_inv is None when B is singular (an unpolarized b), and period_inv
-    maps x to its lattice coordinates.
+    `Cocycle.integer_periods`) and ℓ = ell_int / ell_den.  tails[i] is the
+    determinant and adjugate of the trailing block b_int[i:, i:], which the
+    ellipsoid enumeration reads (`_ellipsoid_points`), and period_inv maps x to
+    its lattice coordinates.
     """
 
-    big_b_inv: Optional[Mat]
-    ell: Vec
+    tails: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     pb: tuple[tuple[int, ...], ...]
     b_den: int
     b_int: tuple[tuple[int, ...], ...]
@@ -237,19 +278,29 @@ class _QuadraticData(NamedTuple):
 def _cocycle_quadratic_data(c: Cocycle) -> _QuadraticData:
     pb = linalg.matmul(c.periods, c.b)
     big_b = linalg.matmul(pb, linalg.transpose(c.periods))
-    try:
-        big_b_inv = linalg.inverse(big_b)
-    except ValueError:
-        big_b_inv = None
     ell = c.linear_part_on_basis()
     b_den = linalg.common_denominator(x for row in big_b for x in row)
     b_int = tuple(tuple(_scaled_int(x, b_den) for x in row) for row in big_b)
     lam_den, lam_int = c.integer_periods()
     ell_den = linalg.common_denominator(ell)
-    return _QuadraticData(big_b_inv, ell, tuple(tuple(int(x) for x in row) for row in pb),
+    return _QuadraticData(_trailing_adjugates(b_int),
+                          tuple(tuple(int(x) for x in row) for row in pb),
                           b_den, b_int, lam_den, lam_int,
                           ell_den, tuple(_scaled_int(x, ell_den) for x in ell),
                           linalg.inverse(c.period_columns()))
+
+
+def _trailing_adjugates(m: Sequence[Sequence[int]]):
+    """(det, adjugate) of each trailing principal block m[i:, i:], over ints.
+    A singular block (from an unpolarized b, which no scan enumerates) has
+    adjugate None."""
+    out = []
+    for i in range(len(m)):
+        block = [row[i:] for row in m[i:]]
+        d = int(linalg.det(block))
+        out.append((d, tuple(tuple(int(x * d) for x in row)
+                             for row in linalg.inverse(block)) if d else None))
+    return tuple(out)
 
 
 def _scaled_int(x: Fraction, den: int) -> int:
@@ -291,88 +342,130 @@ def _translate_ints(q: _QuadraticData, rep, scale: int, k: Sequence[int],
     return m2, c2
 
 
-def _integer_form(q: _QuadraticData, forms, extra: Sequence[Fraction] = ()):
-    """Scale (h, base) forms and extra values to ints over one common denominator.
+class _Forms(NamedTuple):
+    """Values of all translates at a list of points, over Python ints.
 
-    Returns (int forms, int extras, t) with den·B = t·b_int, so that for each
-    form 2·den·(base + <h, k> - kᵀBk/2) = base' + <h', k> - t·kᵀ·b_int·k.
+    scale times the value at points[j] of the translate of piece p by k is
+    base[p][j] + <h[p][j], k> - t·kᵀ·b_int·k.
     """
-    den = math.lcm(q.b_den, linalg.common_denominator(
-        itertools.chain(extra, (v for h, base in forms for v in (*h, base)))))
-    two = 2 * den
-    int_forms = [(tuple(_scaled_int(v, two) for v in h), _scaled_int(base, two))
-                 for h, base in forms]
-    int_extra = [_scaled_int(v, two) for v in extra]
-    return int_forms, int_extra, den // q.b_den
+
+    scale: int
+    t: int
+    h: list[list[tuple[int, ...]]]
+    base: list[list[int]]
+
+    def value(self, pi: int, j: int, k: Sequence[int], quad: int) -> int:
+        """The scaled value of the translate (pi, k) at points[j], given
+        quad = kᵀ·b_int·k."""
+        return self.base[pi][j] + sum(a * b for a, b in zip(self.h[pi][j], k)) - self.t * quad
 
 
-def _translate_forms(f: PeriodicPLFunction, q: _QuadraticData, points: Sequence[Vec]
-                     ) -> list[list[tuple[Vec, Fraction]]]:
-    """(h, p(x)) for each representative p (outer) and point x (inner)."""
-    pbx = [linalg.matvec(q.pb, x) for x in points]
+def _point_forms(f: PeriodicPLFunction, q: _QuadraticData, points: Sequence[Vec]) -> _Forms:
+    """The `_Forms` of f's pieces at the points, at scale s·dw for the
+    `_translate_scale` s and the common denominator dw of the points."""
+    s = _translate_scale(q, f.pieces)
+    dw = linalg.common_denominator(x for w in points for x in w)
+    ws = [tuple(_scaled_int(x, dw) for x in w) for w in points]
+    pbw = [tuple(sum(a * b for a, b in zip(row, w)) for row in q.pb) for w in ws]
+    hs, bases = [], []
+    for m_int, c_int, g_int in (_piece_ints(q, p, s) for p in f.pieces):
+        hs.append([tuple(s * a - dw * g for a, g in zip(bw, g_int)) for bw in pbw])
+        bases.append([sum(a * b for a, b in zip(m_int, w)) + c_int * dw for w in ws])
+    return _Forms(s * dw, s // (2 * q.b_den) * dw, hs, bases)
+
+
+def _ellipsoid_points(q: _QuadraticData, t: int, h: Sequence[int], r: int):
+    """The integer k with t·kᵀ·b_int·k - <h, k> <= r, in lexicographic order.
+
+    Fincke–Pohst enumeration (Math. Comp. 44, 1985), one coordinate at a
+    time.  With k_1..k_{i-1} fixed the condition on the rest has the same form
+    on the trailing block b_int[i:, i:], and k_i ranges over the projection of
+    that ellipsoid onto its first axis: |2tD·k_i - u| <= √(N·A_00), where D and
+    A are the block's determinant and adjugate, u = (A·h)_0 and
+    N = 4tD·r + hᵀAh (N < 0: empty).  The bounds come from isqrt, and the last
+    coordinate's range is exact, so exactly the points of the ellipsoid are
+    yielded.
+    """
+    b_int, tails, n = q.b_int, q.tails, len(h)
+
+    def walk(i, h, r, prefix):
+        d, adj = tails[i]
+        ah = [sum(a * x for a, x in zip(row, h)) for row in adj]
+        big_n = 4 * t * d * r + sum(a * x for a, x in zip(ah, h))
+        if big_n < 0:
+            return
+        s = math.isqrt(big_n * adj[0][0])
+        den = 2 * t * d
+        u = ah[0]
+        qii, row = b_int[i][i], b_int[i][i + 1:]
+        for v in range(-((s - u) // den), (u + s) // den + 1):
+            if i == n - 1:
+                yield prefix + (v,)
+            else:
+                yield from walk(i + 1, [x - 2 * t * v * a for x, a in zip(h[1:], row)],
+                                r - t * qii * v * v + h[0] * v, prefix + (v,))
+
+    yield from walk(0, h, r, ())
+
+
+def _ellipsoid_box(q: _QuadraticData, t: int, h: Sequence[int], r: int
+                   ) -> Optional[list[tuple[int, int]]]:
+    """Inclusive integer bounds (lo_i, hi_i) of the box around the ellipsoid
+    t·kᵀ·b_int·k - <h, k> <= r, or None if it is empty: its centre k0 = A·h/(2tD)
+    rounded inwards, widened by the ceiling of each half-axis extent."""
+    d, adj = q.tails[0]
+    ah = [sum(a * x for a, x in zip(row, h)) for row in adj]
+    big_n = 4 * t * d * r + sum(a * x for a, x in zip(ah, h))
+    if big_n < 0:
+        return None
+    den = 2 * t * d
     out = []
-    for p in f.pieces:
-        g = vsub(linalg.matvec(f.cocycle.periods, p.m), q.ell)
-        out.append([(vsub(bx, g), p.value(x)) for bx, x in zip(pbx, points)])
+    for i, u in enumerate(ah):
+        z = big_n * adj[i][i]
+        s = 0 if z <= 0 else -(-math.isqrt(z) // den)
+        if s * den * s * den < z:
+            s += 1
+        out.append((-(-u // den) - s, u // den + s))
     return out
 
 
-def _ellipsoid_box(q: _QuadraticData, h: Vec, r: Fraction) -> Optional[list[range]]:
-    """Bounding box of the integer k with kᵀBk/2 - <h,k> <= r, or None if empty."""
-    k0 = linalg.matvec(q.big_b_inv, h)
-    big_r = dot(h, k0) / 2 + r
-    if big_r < 0:
-        return None
-    ranges = []
-    for i, ki in enumerate(k0):
-        s = linalg.ceil_sqrt(2 * big_r * q.big_b_inv[i][i])
-        ranges.append(range(linalg.ceil_frac(ki) - s, linalg.floor_frac(ki) + s + 1))
-    return ranges
+def _candidate_ks(f: PeriodicPLFunction, points: Sequence[Vec],
+                  thresholds: Sequence[Fraction], keep_h: bool = False):
+    """Translates (rep, k) whose value at some points[j] is >= thresholds[j].
 
-
-def _candidate_ks(f: PeriodicPLFunction, points: Sequence[Vec], t0: Fraction,
-                  keep_h: bool = False):
-    """Translate candidates beating t0 at one of the points, via ellipsoids.
-
-    For each representative p and point x, the translates with value >= t0 at
-    x satisfy kᵀBk/2 - <h,k> <= p(x) - t0 for B = periods·b·periodsᵀ; the
-    integer points of that ellipsoid are read off its bounding box.  With
-    keep_h the (h, p(x)) form of each (piece, point) pair is returned too.
+    For each representative p and point x, the translates with value >= T at
+    x are the integer points of the ellipsoid kᵀBk/2 - <h,k> <= p(x) - T; they
+    are enumerated exactly (`_ellipsoid_points`) on the integer forms of the
+    values (`_point_forms`).  Returns (candidates, forms): with keep_h the
+    `_Forms` of the points, else None.
     """
     q = _cocycle_quadratic_data(f.cocycle)
+    forms = _point_forms(f, q, points)
+    bounds = [-((-x.numerator * forms.scale) // x.denominator) for x in thresholds]
     found: set[tuple[int, tuple[int, ...]]] = set()
-    hmap: dict[tuple[int, int], tuple[Vec, Fraction]] = {}
-    for pi, row in enumerate(_translate_forms(f, q, points)):
-        for xi, (h, base) in enumerate(row):
-            if keep_h:
-                hmap[(pi, xi)] = (h, base)
-            box = _ellipsoid_box(q, h, base - t0)
-            if box is not None:
-                found.update((pi, k) for k in itertools.product(*box))
-    return found, hmap
+    for pi, (hs, bases) in enumerate(zip(forms.h, forms.base)):
+        for h, base, bound in zip(hs, bases, bounds):
+            found.update((pi, k) for k in _ellipsoid_points(q, forms.t, h, base - bound))
+    return found, (forms if keep_h else None)
 
 
-def _point_envelope_entry(f: PeriodicPLFunction, x: Vec) -> AffinePiece:
-    """One translate attaining the envelope at the single point x.
+def _point_envelope_entry(f: PeriodicPLFunction, x: Vec) -> tuple[int, tuple[int, ...]]:
+    """(rep, k) of the first translate in (rep, k) order attaining the envelope at x.
 
-    The candidates are scored by the integer form of their values at x; the
-    first maximum in (representative, k) order wins, and only it is translated.
+    Each representative's ellipsoid is enumerated at the best value found so
+    far, which starts at max_p p(x) (the translates by k = 0), so only the
+    translates that can tie or beat it are scored, on integers.
     """
     q = _cocycle_quadratic_data(f.cocycle)
-    forms = [row[0] for row in _translate_forms(f, q, [x])]
-    t0 = max(base for _, base in forms)
-    int_forms, _, t = _integer_form(q, forms)
-    best = None
+    forms = _point_forms(f, q, [x])
+    best = max(row[0] for row in forms.base)
     winner = None
-    for pi, ((h, base), (h_int, base_int)) in enumerate(zip(forms, int_forms)):
-        box = _ellipsoid_box(q, h, base - t0)
-        if box is None:
-            continue
-        for k in itertools.product(*box):
-            v = base_int + sum(a * b for a, b in zip(h_int, k)) - t * _quad_form(q.b_int, k)
-            if best is None or v > best:
+    for pi, ((h,), (base,)) in enumerate(zip(forms.h, forms.base)):
+        for k in _ellipsoid_points(q, forms.t, h, base - best):
+            v = forms.value(pi, 0, k, _quad_form(q.b_int, k))
+            if winner is None or v > best:
                 best, winner = v, (pi, k)
-    return translate_piece(f.cocycle, f.pieces[winner[0]], winner[1])
+    return winner
 
 
 class _Entries(list):
@@ -388,44 +481,46 @@ class _Entries(list):
 def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
     """All translates that can attain the envelope somewhere on the box.
 
-    A crude affine lower bound first collects a superset of candidates; exact
-    envelope minorants at a grid of interior points (tangent translates, which
-    bound the envelope from below everywhere) then discard every candidate
-    that provably stays below the envelope on the whole box.  The survivors
-    are a superset of every argmax set over the box, so evaluation results do
-    not depend on the pruning.  The comparisons run on the integer form of
-    the candidates' values at the box corners, and the survivors' slopes and
-    constants are derived on integers too (`_translate_ints`).
+    Exact envelope minorants come first: the translate attaining the envelope
+    at each point of an interior grid (`_point_envelope_entry`) bounds the
+    envelope from below everywhere.  A translate that attains somewhere on
+    the box is at least each minorant at some corner, in particular at least
+    the minorant g largest at the box's centre; the candidates are the
+    integer points of the ellipsoids {value at corner x_j >= g(x_j)}
+    (`_candidate_ks`).  Two filters cut them down: the pruning rule
+    (`_may_attain`) against every minorant, and the t0 condition, which keeps
+    a candidate only inside the box around some corner's ellipsoid
+    {value >= t0} for the affine lower bound t0 = max_p min_box p; the entries
+    are thus exactly those of a bounding-box enumeration at t0 followed by
+    the pruning rule.  They are a superset of every argmax set over the box,
+    so evaluation results do not depend on the pruning.  All comparisons run
+    on integer forms of the values at the corners, and the kept translates'
+    slopes and constants are derived on integers too (`_translate_ints`).
     """
     c = f.cocycle
-    n = c.n
     q = _cocycle_quadratic_data(c)
     corners = _box_corners(lo, hi)
-    t0 = max(min(p.value(x) for x in corners) for p in f.pieces)
-    cand, hmap = _candidate_ks(f, corners, t0, keep_h=True)
+    minorants = sorted({_point_envelope_entry(f, gp) for gp in _grid_points(lo, hi)})
+    centre = tuple((a + b) / 2 for a, b in zip(lo, hi))
+    top = max((translate_piece(c, f.pieces[pi], k) for pi, k in minorants),
+              key=lambda p: p.value(centre))
+    cand, forms = _candidate_ks(f, corners, [top.value(x) for x in corners], True)
 
-    grid = 3 if n <= 2 else 2
-    gridpts = []
-    for steps in itertools.product(range(grid), repeat=n):
-        gridpts.append(tuple(a + (b - a) * Fraction(2 * s + 1, 2 * grid)
-                             for a, b, s in zip(lo, hi, steps)))
-    minorants = [_point_envelope_entry(f, gp) for gp in gridpts]
-    mvals = [g.value(x) for g in minorants for x in corners]
-
-    nc = len(corners)
-    forms = [hmap[(pi, xi)] for pi in range(len(f.pieces)) for xi in range(nc)]
-    int_forms, int_mvals, t = _integer_form(q, forms, mvals)
-    by_rep = [int_forms[i:i + nc] for i in range(0, len(int_forms), nc)]
-    floors = [int_mvals[i:i + nc] for i in range(0, len(int_mvals), nc)]
+    js = range(len(corners))
+    floors = [[forms.value(pi, j, k, _quad_form(q.b_int, k)) for j in js]
+              for pi, k in minorants]
+    t0 = max(min(row) for row in forms.base)
+    boxes = [[box for j in js if (box := _ellipsoid_box(q, forms.t, forms.h[pi][j],
+                                                        forms.base[pi][j] - t0))]
+             for pi in range(len(f.pieces))]
 
     scale = _translate_scale(q, f.pieces)
     reps = [_piece_ints(q, p, scale) for p in f.pieces]
     kept = []
     for pi, k in sorted(cand):
         raw = _quad_form(q.b_int, k)
-        quad = t * raw
-        vals = [base + sum(a * b for a, b in zip(h, k)) - quad for h, base in by_rep[pi]]
-        if all(any(v >= mv for v, mv in zip(vals, row)) for row in floors):
+        if _may_attain([forms.value(pi, j, k, raw) for j in js], floors) and \
+                any(all(a <= x <= b for x, (a, b) in zip(k, box)) for box in boxes[pi]):
             kept.append((pi, k, *_translate_ints(q, reps[pi], scale, k, raw)))
 
     # reduce scale to the least common denominator of all kept slopes and constants
@@ -497,8 +592,8 @@ def _k_box(c: Cocycle, target_lo: Vec, target_hi: Vec,
             for a, b in zip(mins, maxs)]
 
 
-def _translates_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
-    """All (cell_index, k, translated cell) whose bbox meets the box [lo, hi]."""
+def _shifts_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
+    """All (cell_index, k, λ_k) whose translated cell's bbox meets the box [lo, hi]."""
     out = []
     for ci, cell in enumerate(d.cells):
         clo, chi = cell.bbox()
@@ -508,8 +603,13 @@ def _translates_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
             thi = linalg.vadd(chi, lam)
             if any(a > b for a, b in zip(tlo, hi)) or any(a > b for a, b in zip(lo, thi)):
                 continue
-            out.append((ci, k, cell.translate(lam)))
+            out.append((ci, k, lam))
     return out
+
+
+def _translates_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
+    """All (cell_index, k, translated cell) whose bbox meets the box [lo, hi]."""
+    return [(ci, k, d.cells[ci].translate(lam)) for ci, k, lam in _shifts_meeting(d, lo, hi)]
 
 
 _RING_CACHE: dict[tuple, list[Vec]] = {}
@@ -1037,6 +1137,15 @@ def _faces_fast(p: Polytope) -> list[Polytope]:
     return out
 
 
+def _shift_face(p: Polytope, lam: Vec) -> Polytope:
+    """p + λ, with its equations in the canonical form `_faces_fast` gives them,
+    so that the faces of a translated cell are those of the cell, shifted."""
+    return Polytope(p.ambient_dim, tuple(sorted(linalg.vadd(v, lam) for v in p.vertices)),
+                    tuple(_canon_eq(a, c + dot(a, lam)) for a, c in p.equations),
+                    tuple((a, c + dot(a, lam)) for a, c in p.inequalities),
+                    p.dim, _validate=False)
+
+
 def _intersection_dim(p: Polytope, q: Polytope) -> int:
     """Dimension of p ∩ q, or -1 when empty (no hull construction)."""
     lo_p, hi_p = p.bbox()
@@ -1071,22 +1180,26 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
     near σ, the definition requires dim(σ ∩ Δ) = dim σ + dim Δ - n whenever
     the intersection is nonempty.  The sufficiency criterion is evaluated on
     the same pairs: linear hulls must span when D(σ,Δ) >= 0 and affine hulls
-    must be disjoint when D(σ,Δ) < 0.
+    must be disjoint when D(σ,Δ) < 0.  The faces of each cell are computed
+    once and shifted to each of its translates.
     """
     n = d.cocycle.n
     sigmas = _closure_under_faces(sigma)
     rows: list[TransversalityRow] = []
     violations = []
-    face_cache: dict[tuple, list[Polytope]] = {}
+    cell_faces: dict[int, list[Polytope]] = {}
+    translate_faces: dict[tuple, list[Polytope]] = {}
 
     for s in sigmas:
         slo, shi = s.bbox()
         seen_faces: set[tuple] = set()
-        for _, _, t in _translates_meeting(d, slo, shi):
-            tf = face_cache.get(t.vertices)
+        for ci, k, lam in _shifts_meeting(d, slo, shi):
+            tf = translate_faces.get((ci, k))
             if tf is None:
-                tf = _faces_fast(t)
-                face_cache[t.vertices] = tf
+                if ci not in cell_faces:
+                    cell_faces[ci] = _faces_fast(d.cells[ci])
+                tf = [_shift_face(ff, lam) for ff in cell_faces[ci]]
+                translate_faces[(ci, k)] = tf
             for ff in tf:
                 if ff.vertices in seen_faces:
                     continue

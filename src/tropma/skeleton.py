@@ -133,20 +133,32 @@ def _pullback_pieces(c: Cocycle, metric: PeriodicPLFunction,
                      face: SkeletonFace) -> list[AffinePiece]:
     """Pieces of metric ∘ f_aff on frame coordinates of the carrier.
 
-    The relevant translates are enumerated over the bounding box of the
-    carrier's tropical image, so the finite max equals the pullback exactly
-    on the carrier.
+    The metric's scan covering the bounding box of the carrier's tropical
+    image is re-pruned to that box (`_EnvelopeScan.entries_on`), so the finite
+    max equals the pullback exactly on the carrier.
     """
-    scan = metric.scan_for(*_image_box(face))
+    box = _image_box(face)
     k = face.frame.dim
     seen = {}
-    for e in scan.entries:
+    for e in metric.scan_for(*box).entries_on(*box):
         m = e.piece.m
         slope = tuple(sum(m[i] * face.f_aff_linear[i][j] for i in range(len(m)))
                       for j in range(k))
         const = dot(m, face.f_aff_offset) + e.piece.c
         seen[(slope, const)] = AffinePiece(slope, const)
     return sorted(seen.values(), key=lambda p: (p.m, p.c))
+
+
+def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
+    """Request the metric's envelope scan once, for the union of the image
+    boxes of the nondegenerate faces; each face's pullback then re-prunes it
+    to its own box instead of growing it face by face."""
+    if isinstance(metric, str):
+        return
+    boxes = [_image_box(f) for f in spec.faces if check_nondegenerate(spec, f)]
+    if boxes:
+        metric.scan_for(tuple(min(col) for col in zip(*(lo for lo, _ in boxes))),
+                        tuple(max(col) for col in zip(*(hi for _, hi in boxes))))
 
 
 def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
@@ -209,11 +221,18 @@ def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Meas
     return Measure(atoms=tuple(atoms))
 
 
+def face_measures(spec: SkeletonSpec, metric: Metric) -> list[tuple[SkeletonFace, Measure]]:
+    """(face, face measure) for every face in id order, on one metric scan."""
+    _scan_faces(spec, metric)
+    return [(face, face_measure(spec, face, metric))
+            for face in sorted(spec.faces, key=lambda f: f.id)]
+
+
 def assemble_measure(spec: SkeletonSpec, metric: Metric) -> Measure:
     """Sum of the face measures; relative interiors partition the skeleton."""
     out = Measure()
-    for face in sorted(spec.faces, key=lambda f: f.id):
-        out = out + face_measure(spec, face, metric)
+    for _, mu in face_measures(spec, metric):
+        out = out + mu
     return out
 
 
@@ -230,6 +249,21 @@ def face_degrees(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunct
         xi = face.frame.embed(y)
         out.append((xi, vertex_degree(spec, face, metric, xi, pieces, translates)))
     return out
+
+
+def skeleton_degrees(spec: SkeletonSpec, metric: PeriodicPLFunction
+                     ) -> list[tuple[SkeletonFace, Vec, Fraction]]:
+    """(face, vertex, degree) over the nondegenerate faces in id order.
+
+    The metric's cells are walked before any pullback is taken, so the
+    pullbacks read the walk's scan whenever it covers the faces' image boxes.
+    """
+    faces = [f for f in sorted(spec.faces, key=lambda f: f.id) if check_nondegenerate(spec, f)]
+    if not faces:
+        return []
+    linearity_cells(metric)
+    _scan_faces(spec, metric)
+    return [(face, xi, deg) for face in faces for xi, deg in face_degrees(spec, face, metric)]
 
 
 def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,

@@ -1,10 +1,14 @@
 """The integer kernel of the envelope scan against the plain Fraction code.
 
-`_enumerate_entries` scores candidate translates by the integer form of their
-values and derives the kept translates on integers; `_point_envelope_entry`
-translates only its winner.  Both are compared here with a direct Fraction
-implementation of the same rules, translates included, over random small
-polarized cocycles in dimensions 1 to 3.
+`_enumerate_entries` enumerates its candidates from the exact integer points of
+ellipsoids, scores them by the integer form of their values and derives the
+kept translates on integers; `_point_envelope_entry` returns the first
+translate in (rep, k) order attaining the envelope at a point.  Both are
+compared here with a direct Fraction implementation of the bounding-box
+enumeration they replaced, translates included, over random small polarized
+cocycles (skew b included) in dimensions 1 to 3.  `_candidate_ks` is compared
+with a brute-force scan of the ellipsoids' bounding boxes, and
+`_EnvelopeScan.entries_on` with the argmax sets of the scan it re-prunes.
 """
 
 import itertools
@@ -18,7 +22,7 @@ from tropma import linalg
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot, vec, vsub
 from tropma.plfunc import (AffinePiece, PeriodicPLFunction, TranslatedPiece,
-                           _box_corners, _candidate_ks, _enumerate_entries,
+                           _box_corners, _candidate_ks, _enumerate_entries, _grid_points,
                            _point_envelope_entry)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -81,15 +85,14 @@ def reference_candidates(f, points, t0):
 
 
 def reference_point_entry(f, x):
-    """Translate every candidate and keep the first strict maximum at x."""
+    """Translate every candidate; the first strict maximum at x as (rep, k)."""
     t0 = max(p.value(x) for p in f.pieces)
     cand, _, _ = reference_candidates(f, [x], t0)
     best_val = best = None
     for pi, k in sorted(cand):
-        piece = reference_translate(f.cocycle, f.pieces[pi], k)
-        v = piece.value(x)
+        v = reference_translate(f.cocycle, f.pieces[pi], k).value(x)
         if best_val is None or v > best_val:
-            best_val, best = v, piece
+            best_val, best = v, (pi, k)
     return best
 
 
@@ -102,7 +105,8 @@ def reference_entries(f, lo, hi):
     grid = 3 if n <= 2 else 2
     gridpts = [tuple(a + (b - a) * F(2 * s + 1, 2 * grid) for a, b, s in zip(lo, hi, steps))
                for steps in itertools.product(range(grid), repeat=n)]
-    minorants = [reference_point_entry(f, gp) for gp in gridpts]
+    minorants = [reference_translate(c, f.pieces[pi], k)
+                 for pi, k in (reference_point_entry(f, gp) for gp in gridpts)]
     mvals = [[g.value(x) for x in corners] for g in minorants]
     out = []
     for pi, k in sorted(cand):
@@ -125,7 +129,7 @@ def test_entries_match_fraction_pruning(data):
     corners = _box_corners(lo, hi)
     t0 = max(min(p.value(x) for x in corners) for p in f.pieces)
     # the Fraction reference takes about a second per thousand candidates
-    assume(len(_candidate_ks(f, corners, t0)[0]) <= 1500)
+    assume(len(reference_candidates(f, corners, t0)[0]) <= 1500)
     got = _enumerate_entries(f, lo, hi)
     want = reference_entries(f, lo, hi)
     assert [(e.rep_index, e.k, e.piece.m, e.piece.c) for e in got] == \
@@ -149,10 +153,49 @@ def test_point_entry_is_first_maximum(data, ts, tangent):
         f = PeriodicPLFunction(c, [AffinePiece(c.linear_covector(), F(0)), *f.pieces])
     x = tuple(sum((t * lam[j] for t, lam in zip(ts, c.periods)), F(0)) for j in range(c.n))
     t0 = max(p.value(x) for p in f.pieces)
-    cand, _ = _candidate_ks(f, [x], t0)
-    assume(len(cand) <= 1500)
-    translates = [reference_translate(c, f.pieces[pi], k) for pi, k in sorted(cand)]
-    top = max(t.value(x) for t in translates)
-    first = next(t for t in translates if t.value(x) == top)
-    got = _point_envelope_entry(f, x)
-    assert (got.m, got.c) == (first.m, first.c)
+    assume(len(reference_candidates(f, [x], t0)[0]) <= 1500)
+    assert _point_envelope_entry(f, x) == reference_point_entry(f, x)
+
+
+@SETTINGS
+@given(functions_and_boxes(), st.lists(small_q, min_size=8, max_size=8))
+def test_candidates_are_the_ellipsoid_points(data, offsets):
+    # every translate reaching its point's threshold, and no other, by brute force
+    # over the bounding box of each (piece, point) ellipsoid
+    f, lo, hi = data
+    corners = _box_corners(lo, hi)
+    t0 = max(min(p.value(x) for x in corners) for p in f.pieces)
+    thresholds = [t0 + d / 4 for d, _ in zip(offsets, corners)]
+    boxes = set()
+    for x, t in zip(corners, thresholds):
+        boxes |= reference_candidates(f, [x], t)[0]
+    assume(len(boxes) <= 1500)
+    want = set()
+    for pi, k in boxes:
+        piece = reference_translate(f.cocycle, f.pieces[pi], k)
+        if any(piece.value(x) >= t for x, t in zip(corners, thresholds)):
+            want.add((pi, k))
+    got, forms = _candidate_ks(f, corners, thresholds)
+    assert got == want and forms is None
+
+
+@SETTINGS
+@given(functions_and_boxes(), st.lists(st.integers(0, 4), min_size=6, max_size=6))
+def test_reprune_keeps_every_attaining_entry(data, cuts):
+    # entries_on of a sub-box passes the pruning rule and loses no argmax entry
+    f, lo, hi = data
+    n = f.n
+    sub_lo = tuple(a + (b - a) * F(cuts[i], 8) for i, (a, b) in enumerate(zip(lo, hi)))
+    sub_hi = tuple(s + (b - s) * F(cuts[n + i], 8) for i, (s, b) in enumerate(zip(sub_lo, hi)))
+    corners = _box_corners(lo, hi)
+    t0 = max(min(p.value(x) for x in corners) for p in f.pieces)
+    assume(len(reference_candidates(f, corners, t0)[0]) <= 1500)
+    scan = f.scan_for(lo, hi)
+    kept = {(e.rep_index, e.k) for e in scan.entries_on(sub_lo, sub_hi)}
+    fresh = {(e.rep_index, e.k) for e in _enumerate_entries(f, sub_lo, sub_hi)}
+    pts = _box_corners(sub_lo, sub_hi) + _grid_points(sub_lo, sub_hi) + [
+        tuple(a + (b - a) * F(s, 5) for a, b, s in zip(sub_lo, sub_hi, steps))
+        for steps in itertools.product((1, 4), repeat=n)]
+    for y in pts:
+        top = {(scan.entries[i].rep_index, scan.entries[i].k) for i in scan.eval(y)[1]}
+        assert top <= kept and top <= fresh
