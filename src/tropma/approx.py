@@ -17,71 +17,74 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
 from .cocycle import Cocycle
+from .errors import CellWalkError, PerturbationError, StrictificationError
 from .linalg import Vec, dot, vsub
-from .plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, PeriodicPLFunction,
+from .plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
                      TransversalityReport, _closure_under_faces, _fundamental_bbox,
                      _intersect_fast, _translates_meeting, certify_linearity_tiling,
                      check_transversal, evaluate, linearity_cells, translate_piece)
 from .polyhedra import Polytope
+from .value import Value, setfield
 
 
-class PerturbationError(RuntimeError):
-    def __init__(self, last_failure: str):
-        super().__init__(f"perturbation retries exhausted (last failure: {last_failure})")
-        self.last_failure = last_failure
-
-
-class StrictificationError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ApproxRequest:
+class ApproxRequest(Value):
     """Target (canonical cocycle or PL function), Σ, tolerance and seeding."""
 
-    cocycle: Optional[Cocycle] = None
-    function: Optional[PeriodicPLFunction] = None
-    sigma: tuple[Polytope, ...] = ()
-    eps: Fraction = Fraction(1, 4)
-    rng_seed: int = 0
-    max_retries: int = 50
+    _fields = ("cocycle", "function", "sigma", "eps", "rng_seed", "max_retries")
 
-    def __post_init__(self):
-        if (self.cocycle is None) == (self.function is None):
+    def __init__(self, cocycle: Optional[Cocycle] = None,
+                 function: Optional[PeriodicPLFunction] = None,
+                 sigma: tuple[Polytope, ...] = (), eps: Fraction = Fraction(1, 4),
+                 rng_seed: int = 0, max_retries: int = 50):
+        if (cocycle is None) == (function is None):
             raise ValueError("request needs exactly one target: a cocycle or a function")
-        if self.eps <= 0:
+        if eps <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_retries < 1:
+        if max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        for s in self.sigma:
+        for s in sigma:
             if not isinstance(s, Polytope):
                 raise ValueError("sigma entries must be polytopes")
+        setfield(self, "cocycle", cocycle)
+        setfield(self, "function", function)
+        setfield(self, "sigma", sigma)
+        setfield(self, "eps", eps)
+        setfield(self, "rng_seed", rng_seed)
+        setfield(self, "max_retries", max_retries)
 
 
-@dataclass(frozen=True)
-class StageErrors:
+class StageErrors(Value):
     """Certified sup error of each stage; None for a stage that did not run."""
 
-    tangent: Optional[Fraction] = None
-    strictify: Optional[Fraction] = None
-    perturb: Optional[Fraction] = None
+    _fields = ("tangent", "strictify", "perturb")
+
+    def __init__(self, tangent: Optional[Fraction] = None,
+                 strictify: Optional[Fraction] = None, perturb: Optional[Fraction] = None):
+        setfield(self, "tangent", tangent)
+        setfield(self, "strictify", strictify)
+        setfield(self, "perturb", perturb)
 
 
-@dataclass(frozen=True)
-class ApproxCertificate:
-    sup_error_bound: Fraction
-    strictly_convex: bool
-    transversal: Optional[TransversalityReport]
-    periodic: bool
-    retries_used: int
-    stage_errors: StageErrors = StageErrors()
-    mesh_k: Optional[int] = None
+class ApproxCertificate(Value):
+    _fields = ("sup_error_bound", "strictly_convex", "transversal", "periodic",
+               "retries_used", "stage_errors", "mesh_k")
+
+    def __init__(self, sup_error_bound: Fraction, strictly_convex: bool,
+                 transversal: Optional[TransversalityReport], periodic: bool,
+                 retries_used: int, stage_errors: StageErrors = StageErrors(),
+                 mesh_k: Optional[int] = None):
+        setfield(self, "sup_error_bound", sup_error_bound)
+        setfield(self, "strictly_convex", strictly_convex)
+        setfield(self, "transversal", transversal)
+        setfield(self, "periodic", periodic)
+        setfield(self, "retries_used", retries_used)
+        setfield(self, "stage_errors", stage_errors)
+        setfield(self, "mesh_k", mesh_k)
 
     @property
     def ok(self) -> bool:
@@ -491,5 +494,5 @@ def approximate(req: ApproxRequest
     decomp3, _, _ = linearity_cells(f3)
     stages = StageErrors(stage1, stage2, cert.sup_error_bound)
     total = sum(e for e in (stage1, stage2, cert.sup_error_bound) if e is not None)
-    cert = replace(cert, sup_error_bound=total, stage_errors=stages, mesh_k=k)
+    cert = cert.replace(sup_error_bound=total, stage_errors=stages, mesh_k=k)
     return f3, decomp3, cert

@@ -18,13 +18,12 @@ import time
 from fractions import Fraction
 
 from . import jsonio
-from .approx import PerturbationError, StrictificationError, approximate, tangent_pl
+from .errors import CellWalkError, CertificateError, PerturbationError, StrictificationError
 from .jsonio import FormatError
-from .ma import ma_pl, total_mass
-from .plfunc import (CellWalkError, CertificateError, check_cocycle_rule, check_periodic,
-                     linearity_cells)
-from .skeleton import assemble_measure, face_measures, skeleton_degrees
-from .svgplot import render
+
+# Each command imports the modules it runs, so that a call loads and compiles
+# only those: `approximate` loads no `ma` or `skeleton`, and the measure
+# commands load no `approx`.
 
 
 def _read(path: str):
@@ -71,6 +70,7 @@ def _looks_like_measure(data) -> bool:
 
 
 def cmd_validate(args) -> int:
+    from .plfunc import check_cocycle_rule, check_periodic
     data = _read(args.infile)
     kind = args.kind
     if kind == "auto":
@@ -107,6 +107,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_approximate(args) -> int:
+    from .approx import approximate
     data = _read(args.infile)
     eps = jsonio.dec_q(args.eps) if args.eps is not None else None
     if eps is not None and eps <= 0:
@@ -126,12 +127,14 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_ma(args) -> int:
+    from .ma import ma_pl
     if args.k < 1:
         return _fail("validation", "--k must be >= 1", 1)
     data = jsonio.dec_object(_read(args.infile), "the input of ma")
     if "pieces" in data:
         f = jsonio.dec_function(data)
     else:
+        from .approx import tangent_pl
         c = jsonio.dec_cocycle(data if "periods" in data
                                else jsonio.dec_field(data, "cocycle", "the input of ma"))
         f = tangent_pl(c, args.k)
@@ -144,6 +147,7 @@ def cmd_ma(args) -> int:
 
 
 def cmd_skeleton_measure(args) -> int:
+    from .skeleton import assemble_measure
     spec = jsonio.dec_skeleton(_read(args.infile))
     metric = _metric_from_path(args.metric or "canonical")
     mu = assemble_measure(spec, metric)
@@ -152,6 +156,7 @@ def cmd_skeleton_measure(args) -> int:
 
 
 def cmd_degree(args) -> int:
+    from .skeleton import skeleton_degrees
     spec = jsonio.dec_skeleton(_read(args.infile))
     metric = _metric_from_path(args.metric)
     if metric == "canonical":
@@ -166,6 +171,8 @@ def cmd_degree(args) -> int:
 
 
 def cmd_mass_check(args) -> int:
+    from .ma import total_mass
+    from .skeleton import face_measures
     spec = jsonio.dec_skeleton(_read(args.infile))
     metrics = args.metric or ["canonical"]
     totals = {}
@@ -192,6 +199,8 @@ def cmd_mass_check(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .plfunc import linearity_cells
+    from .svgplot import render
     data = jsonio.dec_object(_read(args.infile), "the input of plot")
     decomp = None
     sigma = ()

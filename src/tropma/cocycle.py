@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .linalg import Mat, Vec, dot, matvec, vec
 from .polyhedra import AmbientLattice, Polytope, hull
+from .value import Value, setfield
 
 
 class UnpolarizedError(ValueError):
@@ -31,8 +31,7 @@ def _is_positive_definite(b: Mat) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Value):
     """Periods, bilinear form and base constants (λ_i, b, z_{λ_i}(0)).
 
     The constants extend to all of Λ by the quadratic rule
@@ -40,30 +39,35 @@ class Cocycle:
     z_λ(ω) = z_λ(0) + b(λ,ω).
     """
 
-    ambient: AmbientLattice
-    periods: Mat                  # rows are the basis vectors λ_1..λ_n of Λ
-    b: Mat                        # symmetric n x n, positive definite if polarized
-    z0: Vec                       # z_{λ_i}(0)
-    polarized: bool = True
+    _fields = ("ambient", "periods", "b", "z0", "polarized")
 
-    def __post_init__(self):
-        n = self.ambient.n
-        if len(self.periods) != n or any(len(l) != n for l in self.periods):
+    def __init__(self, ambient: AmbientLattice,
+                 periods: Mat,            # rows are the basis vectors λ_1..λ_n of Λ
+                 b: Mat,                  # symmetric n x n, positive definite if polarized
+                 z0: Vec,                 # z_{λ_i}(0)
+                 polarized: bool = True):
+        n = ambient.n
+        if len(periods) != n or any(len(l) != n for l in periods):
             raise ValueError("period basis must consist of n vectors in Q^n")
-        if len(self.b) != n or any(len(r) != n for r in self.b):
+        if len(b) != n or any(len(r) != n for r in b):
             raise ValueError("b must be an n x n matrix")
-        if len(self.z0) != n:
+        if len(z0) != n:
             raise ValueError("one base constant per period basis vector")
-        if any(self.b[i][j] != self.b[j][i] for i in range(n) for j in range(n)):
+        if any(b[i][j] != b[j][i] for i in range(n) for j in range(n)):
             raise ValueError("b must be symmetric")
-        if linalg.det(self.periods) == 0:
+        if linalg.det(periods) == 0:
             raise ValueError("period vectors are linearly dependent")
-        for lam in self.periods:
-            blam = matvec(self.b, lam)
+        for lam in periods:
+            blam = matvec(b, lam)
             if any(x.denominator != 1 for x in blam):
                 raise ValueError("integrality violated: b(.,λ) must lie in M = Z^n")
-        if self.polarized and not _is_positive_definite(self.b):
+        if polarized and not _is_positive_definite(b):
             raise ValueError("polarized cocycle requires positive definite b")
+        setfield(self, "ambient", ambient)
+        setfield(self, "periods", periods)
+        setfield(self, "b", b)
+        setfield(self, "z0", z0)
+        setfield(self, "polarized", polarized)
 
     @classmethod
     def make(cls, periods, b, z0, polarized: bool = True) -> "Cocycle":

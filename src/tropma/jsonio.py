@@ -8,21 +8,32 @@ output, so round trips are lossless.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .approx import ApproxCertificate, ApproxRequest
 from .cocycle import Cocycle
 from .linalg import Mat, Vec
-from .ma import Atom, LebesguePiece, Measure, total_mass
 from .plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
                      TransversalityReport)
 from .polyhedra import AffineLatticeFrame, Polytope, hull
-from .skeleton import Gluing, SkeletonFace, SkeletonSpec
+
+if TYPE_CHECKING:
+    from .approx import ApproxCertificate, ApproxRequest
+    from .ma import Measure
+    from .skeleton import SkeletonSpec
+
+# The codecs of requests, measures and skeleton specs import `approx`, `ma`
+# and `skeleton` when they run, so that a command loads only its own modules.
 
 
 class FormatError(ValueError):
     pass
+
+
+# An exact rational literal: an integer or p/q, and nothing else that
+# Fraction() reads (no decimal point, exponent, sign '+', underscore or space).
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def enc_q(x: Fraction) -> Any:
@@ -37,6 +48,8 @@ def dec_q(v: Any) -> Fraction:
     if isinstance(v, float):
         raise FormatError(f"floats are not accepted as exact rationals: {v!r}")
     if isinstance(v, str):
+        if _RATIONAL.fullmatch(v) is None:
+            raise FormatError(f"bad rational literal {v!r}: expected an integer or p/q")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -189,6 +202,7 @@ def dec_decomposition(d: Any, cocycle: Cocycle | None = None) -> PeriodicDecompo
 # -- measures ------------------------------------------------------------------
 
 def enc_measure(mu: Measure) -> dict:
+    from .ma import total_mass
     out = {
         "atoms": [{"at": enc_vec(a.at), "mass": enc_q(a.mass),
                    **({"label": a.label} if a.label else {})}
@@ -203,6 +217,7 @@ def enc_measure(mu: Measure) -> dict:
 
 
 def dec_measure(d: Any) -> Measure:
+    from .ma import Atom, LebesguePiece, Measure, total_mass
     if not isinstance(d, dict):
         raise FormatError("a measure is encoded as an object")
     atoms = []
@@ -246,6 +261,7 @@ def enc_skeleton(spec: SkeletonSpec) -> dict:
 
 
 def dec_skeleton(d: Any) -> SkeletonSpec:
+    from .skeleton import Gluing, SkeletonFace, SkeletonSpec
     if not isinstance(d, dict):
         raise FormatError("a skeleton spec is encoded as an object")
     for key in ("cocycle", "d", "faces"):
@@ -281,6 +297,7 @@ def dec_skeleton(d: Any) -> SkeletonSpec:
 # -- approximation requests and certificates ------------------------------------
 
 def dec_request(d: Any, eps=None, seed=None, max_retries=None) -> ApproxRequest:
+    from .approx import ApproxRequest
     if not isinstance(d, dict):
         raise FormatError("an approximation request is encoded as an object")
     cocycle = None

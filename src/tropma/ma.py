@@ -11,7 +11,6 @@ explicitly by the callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -21,35 +20,40 @@ from .linalg import Mat, Vec, dot, vec
 from .plfunc import (CertificateError, PeriodicPLFunction, _translates_meeting, evaluate,
                      linearity_cells)
 from .polyhedra import AffineLatticeFrame, Polytope, hull, lattice_volume
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class Atom:
-    at: Vec
-    mass: Fraction
-    label: str = ""
+class Atom(Value):
+    _fields = ("at", "mass", "label")
 
-    def __post_init__(self):
-        if self.mass < 0:
+    def __init__(self, at: Vec, mass: Fraction, label: str = ""):
+        if mass < 0:
             raise ValueError("atom masses must be nonnegative")
+        setfield(self, "at", at)
+        setfield(self, "mass", mass)
+        setfield(self, "label", label)
 
 
-@dataclass(frozen=True)
-class LebesguePiece:
-    support: Polytope
-    frame: AffineLatticeFrame
-    density: Fraction
-    label: str = ""
+class LebesguePiece(Value):
+    _fields = ("support", "frame", "density", "label")
 
-    def __post_init__(self):
-        if self.density < 0:
+    def __init__(self, support: Polytope, frame: AffineLatticeFrame, density: Fraction,
+                 label: str = ""):
+        if density < 0:
             raise ValueError("densities must be nonnegative")
+        setfield(self, "support", support)
+        setfield(self, "frame", frame)
+        setfield(self, "density", density)
+        setfield(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Measure:
-    atoms: tuple[Atom, ...] = ()
-    lebesgue_pieces: tuple[LebesguePiece, ...] = ()
+class Measure(Value):
+    _fields = ("atoms", "lebesgue_pieces")
+
+    def __init__(self, atoms: tuple[Atom, ...] = (),
+                 lebesgue_pieces: tuple[LebesguePiece, ...] = ()):
+        setfield(self, "atoms", atoms)
+        setfield(self, "lebesgue_pieces", lebesgue_pieces)
 
     def scaled(self, factor: Fraction, label: Optional[str] = None) -> "Measure":
         return Measure(
@@ -71,12 +75,14 @@ def total_mass(mu: Measure) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class Subdifferential:
+class Subdifferential(Value):
     """The dual polytope {u : f(ω) - f(at) >= <ω - at, u>} at a point."""
 
-    at: Vec
-    dual: Polytope
+    _fields = ("at", "dual")
+
+    def __init__(self, at: Vec, dual: Polytope):
+        setfield(self, "at", at)
+        setfield(self, "dual", dual)
 
 
 def subdifferential(f: PeriodicPLFunction, xi: Sequence) -> Subdifferential:

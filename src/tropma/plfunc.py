@@ -19,36 +19,42 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
+from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Mat, Vec, dot, vec, vsub
 from .polyhedra import (Polytope, _canon_eq, clip_homogeneous, clip_polygon, homogeneous,
                         hull, intersect, vertices_of_hrep)
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class AffinePiece:
-    """An affine function ω ↦ <m, ω> + c."""
+class AffinePiece(Value):
+    """An affine function ω ↦ <m, ω> + c; its anchor takes no part in comparison."""
 
-    m: Vec
-    c: Fraction
-    anchor: Optional[Vec] = field(default=None, compare=False)
+    _fields = ("m", "c", "anchor")
+    _compare = ("m", "c")
+
+    def __init__(self, m: Vec, c: Fraction, anchor: Optional[Vec] = None):
+        setfield(self, "m", m)
+        setfield(self, "c", c)
+        setfield(self, "anchor", anchor)
 
     def value(self, omega: Sequence[Fraction]) -> Fraction:
         return dot(self.m, omega) + self.c
 
 
-@dataclass(frozen=True)
-class TranslatedPiece:
+class TranslatedPiece(Value):
     """A lattice translate of a representative piece."""
 
-    piece: AffinePiece
-    rep_index: int
-    k: tuple[int, ...]
+    _fields = ("piece", "rep_index", "k")
+
+    def __init__(self, piece: AffinePiece, rep_index: int, k: tuple[int, ...]):
+        setfield(self, "piece", piece)
+        setfield(self, "rep_index", rep_index)
+        setfield(self, "k", k)
 
 
 def translate_piece(c: Cocycle, p: AffinePiece, k: Sequence[int]) -> AffinePiece:
@@ -561,18 +567,18 @@ def _fundamental_bbox(c: Cocycle) -> tuple[Vec, Vec]:
 # decompositions
 
 
-@dataclass(frozen=True)
-class PeriodicDecomposition:
+class PeriodicDecomposition(Value):
     """Representatives of the maximal cells of a Λ-periodic decomposition."""
 
-    cocycle: Cocycle
-    cells: tuple[Polytope, ...]
+    _fields = ("cocycle", "cells")
 
-    def __post_init__(self):
-        n = self.cocycle.n
-        for cell in self.cells:
+    def __init__(self, cocycle: Cocycle, cells: tuple[Polytope, ...]):
+        n = cocycle.n
+        for cell in cells:
             if cell.ambient_dim != n or cell.dim != n:
                 raise ValueError("cells must be full-dimensional in the ambient space")
+        setfield(self, "cocycle", cocycle)
+        setfield(self, "cells", cells)
 
 
 def _k_box(c: Cocycle, target_lo: Vec, target_hi: Vec,
@@ -839,14 +845,6 @@ class _CollarTooSmall(Exception):
     pass
 
 
-class CellWalkError(RuntimeError):
-    """The cell walk could not certify the cells of linearity."""
-
-
-class CertificateError(RuntimeError):
-    """An exact check of data the program derived itself failed."""
-
-
 def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
                     init: Sequence[int] = ()) -> Optional[list[Vec]]:
     """Points spanning {ω in box : entry ei attains the envelope}, or None.
@@ -1079,22 +1077,31 @@ def check_cocycle_rule(f: PeriodicPLFunction, samples: int = 3) -> bool:
 # transversality
 
 
-@dataclass(frozen=True)
-class TransversalityRow:
-    sigma: Polytope
-    cell: Polytope
-    intersection_dim: int          # -1 when empty
-    expected: int                  # D(σ, Δ) = dim σ + dim Δ - n
-    definition_ok: bool
-    criterion_ok: bool
+class TransversalityRow(Value):
+    _fields = ("sigma", "cell", "intersection_dim", "expected", "definition_ok",
+               "criterion_ok")
+
+    def __init__(self, sigma: Polytope, cell: Polytope,
+                 intersection_dim: int,   # -1 when empty
+                 expected: int,           # D(σ, Δ) = dim σ + dim Δ - n
+                 definition_ok: bool, criterion_ok: bool):
+        setfield(self, "sigma", sigma)
+        setfield(self, "cell", cell)
+        setfield(self, "intersection_dim", intersection_dim)
+        setfield(self, "expected", expected)
+        setfield(self, "definition_ok", definition_ok)
+        setfield(self, "criterion_ok", criterion_ok)
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
-    ok: bool
-    violations: tuple[tuple[Polytope, Polytope, int, int], ...]
-    rows: tuple[TransversalityRow, ...]
-    criterion_ok: bool
+class TransversalityReport(Value):
+    _fields = ("ok", "violations", "rows", "criterion_ok")
+
+    def __init__(self, ok: bool, violations: tuple[tuple[Polytope, Polytope, int, int], ...],
+                 rows: tuple[TransversalityRow, ...], criterion_ok: bool):
+        setfield(self, "ok", ok)
+        setfield(self, "violations", violations)
+        setfield(self, "rows", rows)
+        setfield(self, "criterion_ok", criterion_ok)
 
     @property
     def lemma_consistent(self) -> bool:

@@ -11,43 +11,43 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .linalg import Vec, dot, frac, vec, vsub
+from .value import Value, setfield
 
 
 class FrameMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AmbientLattice:
+class AmbientLattice(Value):
     """The lattice N = Z^n with its dual M, identified via the standard basis."""
 
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("ambient dimension must be >= 1")
+        setfield(self, "n", n)
 
 
-@dataclass(frozen=True)
-class AffineLatticeFrame:
+class AffineLatticeFrame(Value):
     """An affine chart of a polytope's hull: basepoint plus a lattice basis.
 
     The basis must generate the full lattice (linear hull) ∩ Z^n, not a proper
     sublattice; this is what makes lattice volumes well defined.
     """
 
-    basepoint: Vec
-    basis: tuple[Vec, ...]
+    _fields = ("basepoint", "basis")
 
-    def __post_init__(self):
-        if self.basis and linalg.rank(self.basis) != len(self.basis):
+    def __init__(self, basepoint: Vec, basis: tuple[Vec, ...]):
+        if basis and linalg.rank(basis) != len(basis):
             raise ValueError("frame basis vectors are linearly dependent")
+        setfield(self, "basepoint", basepoint)
+        setfield(self, "basis", basis)
 
     @property
     def dim(self) -> int:

@@ -16,7 +16,6 @@ as the per-face flag `abelian_nondegenerate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -27,38 +26,45 @@ from .ma import Atom, Measure, ma_quadratic_restricted, pushforward
 from .plfunc import (AffinePiece, CertificateError, PeriodicPLFunction, _certified_cell,
                      _dim_of_points, _translates_meeting, linearity_cells)
 from .polyhedra import AffineLatticeFrame, Polytope, hull
+from .value import Value, setfield
 
 Metric = Union[str, PeriodicPLFunction]
 
 
-@dataclass(frozen=True)
-class SkeletonFace:
+class SkeletonFace(Value):
     """One canonical face: carrier polytope, stratum data and linearization."""
 
-    id: str
-    carrier: Polytope
-    frame: AffineLatticeFrame
-    e: int                      # dimension of the corresponding stratum
-    deg_h: Fraction             # degree of the stratum closure on the abelian part
-    f_aff_linear: Mat           # n x frame.dim, integer, on frame coordinates
-    f_aff_offset: Vec           # rational offset in N_Q
-    abelian_nondegenerate: bool
-    boundary_ids: tuple[str, ...] = ()
+    _fields = ("id", "carrier", "frame", "e", "deg_h", "f_aff_linear", "f_aff_offset",
+               "abelian_nondegenerate", "boundary_ids")
 
-    def __post_init__(self):
-        if self.e < 0:
+    def __init__(self, id: str, carrier: Polytope, frame: AffineLatticeFrame,
+                 e: int,                  # dimension of the corresponding stratum
+                 deg_h: Fraction,         # degree of the stratum closure on the abelian part
+                 f_aff_linear: Mat,       # n x frame.dim, integer, on frame coordinates
+                 f_aff_offset: Vec,       # rational offset in N_Q
+                 abelian_nondegenerate: bool, boundary_ids: tuple[str, ...] = ()):
+        if e < 0:
             raise ValueError("stratum dimension must be nonnegative")
-        if self.deg_h < 0:
+        if deg_h < 0:
             raise ValueError("deg_H must be nonnegative")
-        if self.frame.dim != self.carrier.dim:
+        if frame.dim != carrier.dim:
             raise ValueError("frame must span the carrier's affine hull")
-        for v in self.carrier.vertices:
-            self.frame.coordinates(v)
-        for row in self.f_aff_linear:
-            if len(row) != self.frame.dim:
+        for v in carrier.vertices:
+            frame.coordinates(v)
+        for row in f_aff_linear:
+            if len(row) != frame.dim:
                 raise ValueError("f_aff linear part must have one column per frame vector")
             if any(x.denominator != 1 for x in row):
                 raise ValueError("f_aff must map the frame lattice into N (integer matrix)")
+        setfield(self, "id", id)
+        setfield(self, "carrier", carrier)
+        setfield(self, "frame", frame)
+        setfield(self, "e", e)
+        setfield(self, "deg_h", deg_h)
+        setfield(self, "f_aff_linear", f_aff_linear)
+        setfield(self, "f_aff_offset", f_aff_offset)
+        setfield(self, "abelian_nondegenerate", abelian_nondegenerate)
+        setfield(self, "boundary_ids", boundary_ids)
 
     def f_aff(self, y: Sequence[Fraction]) -> Vec:
         """Image in N_R of a point given in frame coordinates."""
@@ -68,39 +74,45 @@ class SkeletonFace:
         return self.f_aff(self.frame.coordinates(x))
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(Value):
     """Chart-affine identification of face_b's carrier onto face_a's."""
 
-    face_a: str
-    face_b: str
-    linear: Mat
-    offset: Vec
+    _fields = ("face_a", "face_b", "linear", "offset")
+
+    def __init__(self, face_a: str, face_b: str, linear: Mat, offset: Vec):
+        setfield(self, "face_a", face_a)
+        setfield(self, "face_b", face_b)
+        setfield(self, "linear", linear)
+        setfield(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class SkeletonSpec:
-    cocycle: Cocycle
-    d: int
-    faces: tuple[SkeletonFace, ...]
-    gluing: tuple[Gluing, ...] = ()
+class SkeletonSpec(Value):
+    _fields = ("cocycle", "d", "faces", "gluing")
 
-    def __post_init__(self):
-        ids = {f.id for f in self.faces}
-        if len(ids) != len(self.faces):
+    def __init__(self, cocycle: Cocycle, d: int, faces: tuple[SkeletonFace, ...],
+                 gluing: tuple[Gluing, ...] = ()):
+        ids = {f.id for f in faces}
+        if len(ids) != len(faces):
             raise ValueError("face ids must be unique")
-        n = self.cocycle.n
-        for f in self.faces:
-            if f.carrier.dim + f.e > self.d:
+        n = cocycle.n
+        for f in faces:
+            if f.carrier.dim + f.e > d:
                 raise ValueError(f"face {f.id}: dim(carrier) + e exceeds d")
             if len(f.f_aff_linear) != n:
                 raise ValueError(f"face {f.id}: f_aff must land in N_R (n rows)")
+            if len(f.f_aff_offset) != n:
+                raise ValueError(f"face {f.id}: f_aff offset must lie in N_R "
+                                 f"({n} entries, got {len(f.f_aff_offset)})")
             for bid in f.boundary_ids:
                 if bid not in ids:
                     raise ValueError(f"face {f.id}: unknown boundary id {bid!r}")
-        for g in self.gluing:
+        for g in gluing:
             if g.face_a not in ids or g.face_b not in ids:
                 raise ValueError("gluing references an unknown face id")
+        setfield(self, "cocycle", cocycle)
+        setfield(self, "d", d)
+        setfield(self, "faces", faces)
+        setfield(self, "gluing", gluing)
 
     def face(self, face_id: str) -> SkeletonFace:
         for f in self.faces:

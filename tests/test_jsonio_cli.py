@@ -36,6 +36,67 @@ class TestRoundTrips:
         with pytest.raises(FormatError, match="bad rational"):
             jsonio.dec_q("1/0")
 
+    # Fraction() reads all of these; an exponent would let a few bytes ask for
+    # an integer of any size
+    @pytest.mark.parametrize("literal", [
+        "1.5", "1e5", " 1/2 ", "1/2 ", "1_000", "-0.25e-2", "+1", "1/-2", "1/+2", "",
+        "-", "/2", "1/", "1//2", "1/2/3", "0x10", "inf", "nan", "\u0663", "1/2\n"])
+    def test_only_integers_and_p_over_q(self, literal):
+        with pytest.raises(FormatError, match="bad rational literal") as e:
+            jsonio.dec_q(literal)
+        assert repr(literal) in str(e.value)
+
+    @pytest.mark.parametrize("literal, value", [
+        ("0", F(0)), ("-0", F(0)), ("17", F(17)), ("-17", F(-17)), ("007", F(7)),
+        ("3/4", F(3, 4)), ("-3/4", F(-3, 4)), ("6/8", F(3, 4)), ("-10/20", F(-1, 2)),
+        ("1/" + "9" * 300, F(1, int("9" * 300)))])
+    def test_accepted_literals_round_trip(self, literal, value):
+        assert jsonio.dec_q(literal) == value
+        assert jsonio.dec_q(jsonio.enc_q(value)) == value
+        assert jsonio.dec_q(str(jsonio.enc_q(value))) == value
+
+    def test_exponent_eps_is_a_validation_error(self, tmp_path, capsys):
+        tate = {"cocycle": {"n": 1, "periods": [[1]], "b": [[1]], "z0": ["1/2"]}}
+        assert _run_cli(tmp_path, ["approximate", "--eps", "1e-300"], tate) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "validation",
+                       "message": "bad rational literal '1e-300': expected an integer or p/q"}
+
+    def test_golden_and_benchmark_inputs_parse(self, tmp_path):
+        import os
+        import sys
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        sys.path.insert(0, os.path.join(root, "bench"))
+        try:
+            import gen
+        finally:
+            sys.path.pop(0)
+        decoders = {"request": jsonio.dec_request, "metric": jsonio.dec_function,
+                    "skeleton": jsonio.dec_skeleton}
+        decoded = 0
+        for workload in sorted(gen.WORKLOADS):
+            for seed in (4, 7):
+                out = tmp_path / f"{workload}-{seed}"
+                for req in gen.generate(workload, seed, str(out)):
+                    if "--eps" in req["args"]:
+                        jsonio.dec_q(req["args"][req["args"].index("--eps") + 1])
+                for path in out.glob("*_*.json"):
+                    decoders[path.name.split("_")[0]](json.loads(path.read_text()))
+                    decoded += 1
+        golden = os.path.join(root, "tests", "golden")
+        for name in sorted(os.listdir(golden)):
+            with open(os.path.join(golden, name), encoding="utf-8") as fh:
+                data = json.load(fh)
+            jsonio.dec_function(data["function"])
+            jsonio.dec_decomposition(data["decomposition"])
+            cert = data["certificate"]
+            jsonio.dec_q(cert["sup_error_bound"])
+            for err in cert["stage_errors"].values():
+                if err is not None:
+                    jsonio.dec_q(err)
+            decoded += 1
+        assert decoded == 24     # ten benchmark inputs at each seed, and four artifacts
+
     def test_cocycle(self, tate):
         assert jsonio.dec_cocycle(jsonio.enc_cocycle(tate)) == tate
 
@@ -272,6 +333,25 @@ def test_large_eps_finishes_quickly(tmp_path):
         assert p.returncode == 2 and out["error"]["kind"] == "algorithmic"
 
 
+@pytest.mark.parametrize("t", [["1/2"], ["1/7", "2/9", "0"], []])
+@pytest.mark.parametrize("metric", ["canonical", "pl"])
+def test_f_aff_offset_of_the_wrong_length_is_a_validation_error(tmp_path, capsys, two_tate,
+                                                               t, metric):
+    # a short offset was read by zip() as the first coordinates, and the face's
+    # measure silently came out 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"cocycle": ID2, "d": 2,
+                                "faces": [{**SQUARE_FACE, "f_aff": {"L": [[1, 0], [0, 1]],
+                                                                    "t": t}}]}))
+    if metric == "pl":
+        metric = str(tmp_path / "f.json")
+        (tmp_path / "f.json").write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 2))))
+    assert cli.main(["skeleton-measure", "--in", str(spec), "--metric", metric]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"kind": "validation",
+                   "message": f"face top: f_aff offset must lie in N_R (2 entries, got {len(t)})"}
+
+
 def test_degree_builds_the_pullback_once_per_face(tmp_path, capsys, monkeypatch, two_tate):
     import tropma.skeleton as sk
     from tropma import vertex_degree
@@ -421,8 +501,9 @@ class TestJsonShapes:
         assert all(w in err["message"] for w in words), err["message"]
 
     def test_tiny_eps_names_the_mesh(self, tmp_path, capsys):
-        # ε = 1e-300 asks for a mesh of about 7·10^149 points per period
-        assert _run_cli(tmp_path, ["approximate", "--eps", "1e-300"], {"cocycle": ID2}) == 1
+        # ε = 10^-300 asks for a mesh of about 7·10^149 points per period
+        tiny = "1/1" + "0" * 300
+        assert _run_cli(tmp_path, ["approximate", "--eps", tiny], {"cocycle": ID2}) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["kind"] == "validation"
         assert "tangent mesh k = " in err["message"] and "exceeds the limit" in err["message"]
