@@ -78,9 +78,11 @@ def cmd_validate(args) -> int:
             kind = "skeleton"
         elif isinstance(data, dict) and "cells" in data:
             kind = "decomposition"
+        elif isinstance(data, dict) and "atoms" in data:
+            kind = "measure"
         elif isinstance(data, dict) and "pieces" in data and _function_pieces(data["pieces"]):
             kind = "function"
-        elif isinstance(data, dict) and ("atoms" in data or "pieces" in data):
+        elif isinstance(data, dict) and "pieces" in data:
             kind = "measure"
         elif isinstance(data, dict) and "periods" in data:
             kind = "cocycle"
@@ -130,6 +132,8 @@ def cmd_ma(args) -> int:
     from .ma import ma_pl
     if args.k < 1:
         return _fail("validation", "--k must be >= 1", 1)
+    if args.region and args.fundamental:
+        return _fail("validation", "--region and --fundamental exclude each other", 1)
     data = jsonio.dec_object(_read(args.infile), "the input of ma")
     if "pieces" in data:
         f = jsonio.dec_function(data)
@@ -141,7 +145,7 @@ def cmd_ma(args) -> int:
     region = None
     if args.region:
         region = jsonio.dec_polytope(_read(args.region))
-    mu = ma_pl(f, None if (args.fundamental or region is None) else region)
+    mu = ma_pl(f, region)
     _write(args.out, jsonio.dumps(jsonio.enc_measure(mu)))
     return 0
 

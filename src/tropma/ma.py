@@ -19,7 +19,7 @@ from .cocycle import Cocycle, UnpolarizedError
 from .linalg import Mat, Vec, dot, vec
 from .plfunc import (CertificateError, PeriodicPLFunction, _translates_meeting, evaluate,
                      linearity_cells)
-from .polyhedra import AffineLatticeFrame, Polytope, hull, lattice_volume
+from .polyhedra import AffineLatticeFrame, Polytope, hull, lattice_volume, volume
 from .value import Value, setfield
 
 
@@ -115,16 +115,15 @@ def subdifferential(f: PeriodicPLFunction, xi: Sequence) -> Subdifferential:
     return Subdifferential(xi, dual)
 
 
-def _atom_at(f: PeriodicPLFunction, xi: Vec, n: int) -> Fraction:
-    """Dual-volume mass at a point; zero when the dual is lower-dimensional."""
+def _atom_at(f: PeriodicPLFunction, xi: Vec) -> Fraction:
+    """Dual-volume mass at a point: the volume of the hull of the argmax
+    slopes (`polyhedra.volume`), zero when the dual is lower-dimensional.
+
+    A full-dimensional dual's saturated frame is a basis of Z^n, so its
+    lattice volume is its Euclidean volume.
+    """
     _, arg = evaluate(f, xi)
-    slopes = sorted({e.piece.m for e in arg})
-    if len(slopes) <= n:
-        return Fraction(0)
-    dual = hull(slopes)
-    if dual.dim < n:
-        return Fraction(0)
-    return lattice_volume(dual, dual.frame())
+    return volume(sorted({e.piece.m for e in arg}))
 
 
 def ma_pl(f: PeriodicPLFunction, region: Optional[Polytope] = None) -> Measure:
@@ -140,6 +139,9 @@ def ma_pl(f: PeriodicPLFunction, region: Optional[Polytope] = None) -> Measure:
     """
     c = f.cocycle
     n = f.n
+    if region is not None and region.ambient_dim != n:
+        raise ValueError(f"the region lies in R^{region.ambient_dim} but the function "
+                         f"in R^{n}")
     decomp, _, _ = linearity_cells(f)
     points: list[Vec] = []
     if region is None:
@@ -160,7 +162,7 @@ def ma_pl(f: PeriodicPLFunction, region: Optional[Polytope] = None) -> Measure:
                     points.append(v)
     atoms = []
     for xi in sorted(points):
-        mass = _atom_at(f, xi, n)
+        mass = _atom_at(f, xi)
         if mass > 0:
             atoms.append(Atom(xi, mass))
     if region is None and sum(a.mass for a in atoms) != linalg.det(c.b) * c.covolume():

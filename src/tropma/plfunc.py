@@ -26,8 +26,8 @@ from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Mat, Vec, dot, vec, vsub
-from .polyhedra import (Polytope, _canon_eq, clip_homogeneous, clip_polygon, homogeneous,
-                        hull, intersect, vertices_of_hrep)
+from .polyhedra import (Polytope, _canon_eq, _int_det, clip_homogeneous, clip_polygon,
+                        homogeneous, hull, intersect, vertices_of_hrep, volume)
 from .value import Value, setfield
 
 
@@ -202,36 +202,42 @@ class _EnvelopeScan:
         if hit is not None:
             return hit
         dw = linalg.common_denominator(point)
-        w = tuple(int(x * dw) for x in point)
-        best = None
-        arg: list[int] = []
-        n = len(w)
-        if n == 1:
-            w0 = w[0]
-            for i, (mi, ci) in enumerate(self._ints):
-                v = mi[0] * w0 + ci * dw
-                if best is None or v > best:
-                    best, arg = v, [i]
-                elif v == best:
-                    arg.append(i)
-        elif n == 2:
-            w0, w1 = w
-            for i, (mi, ci) in enumerate(self._ints):
-                v = mi[0] * w0 + mi[1] * w1 + ci * dw
-                if best is None or v > best:
-                    best, arg = v, [i]
-                elif v == best:
-                    arg.append(i)
-        else:
-            for i, (mi, ci) in enumerate(self._ints):
-                v = sum(a * b for a, b in zip(mi, w)) + ci * dw
-                if best is None or v > best:
-                    best, arg = v, [i]
-                elif v == best:
-                    arg.append(i)
+        best, arg = _int_argmax(self._ints, tuple(int(x * dw) for x in point), dw)
         out = (Fraction(best, self.den * dw), tuple(arg))
         self._cache[point] = out
         return out
+
+
+def _int_argmax(ints, w: Sequence[int], dw: int) -> tuple[int, list[int]]:
+    """The largest m·w + c·dw over the integer entries (m, c), and the indices
+    attaining it: the envelope at the point w/dw, scaled by den·dw."""
+    best = None
+    arg: list[int] = []
+    n = len(w)
+    if n == 1:
+        w0 = w[0]
+        for i, (mi, ci) in enumerate(ints):
+            v = mi[0] * w0 + ci * dw
+            if best is None or v > best:
+                best, arg = v, [i]
+            elif v == best:
+                arg.append(i)
+    elif n == 2:
+        w0, w1 = w
+        for i, (mi, ci) in enumerate(ints):
+            v = mi[0] * w0 + mi[1] * w1 + ci * dw
+            if best is None or v > best:
+                best, arg = v, [i]
+            elif v == best:
+                arg.append(i)
+    else:
+        for i, (mi, ci) in enumerate(ints):
+            v = sum(a * b for a, b in zip(mi, w)) + ci * dw
+            if best is None or v > best:
+                best, arg = v, [i]
+            elif v == best:
+                arg.append(i)
+    return best, arg
 
 
 def _box_corners(lo: Vec, hi: Vec) -> list[Vec]:
@@ -647,24 +653,6 @@ def _ring2d(p: Polytope) -> list[Vec]:
     return ring
 
 
-def _area2(ring: Sequence[Vec]) -> Fraction:
-    """Twice the (unsigned) area of a polygon ring."""
-    s = Fraction(0)
-    m = len(ring)
-    for i in range(m):
-        x0, y0 = ring[i]
-        x1, y1 = ring[(i + 1) % m]
-        s += x0 * y1 - x1 * y0
-    return abs(s)
-
-
-def _intersection_area2(p: Polytope, q: Polytope) -> Fraction:
-    ring = clip_polygon(_ring2d(p), q.halfspaces)
-    if len(ring) < 3:
-        return Fraction(0)
-    return _area2(ring)
-
-
 def _dim_of_points(pts: Sequence[Vec]) -> int:
     if not pts:
         return -1
@@ -689,11 +677,11 @@ def check_periodic(d: PeriodicDecomposition) -> bool:
     total = Fraction(0)
     for _, _, t in _translates_meeting(d, lo, hi):
         if n == 2:
-            total += _intersection_area2(t, dom) / 2
+            total += volume(clip_polygon(_ring2d(t), dom.halfspaces))
         else:
             cap = intersect(t, dom)
-            if cap is not None and cap.dim == n:
-                total += _std_volume(cap)
+            if cap is not None:
+                total += volume(cap.vertices)
     if total != covol:
         return False
 
@@ -759,7 +747,7 @@ def certify_linearity_tiling(f: PeriodicPLFunction, decomp: PeriodicDecompositio
         if key in seen:
             return False, f"class check: cell {i} repeats the Λ-class of another cell"
         seen.add(key)
-    if sum(_cell_volume(cell) for cell in decomp.cells) != c.covolume():
+    if sum(volume(cell.vertices) for cell in decomp.cells) != c.covolume():
         return False, "volume check: the cell volumes do not sum to covol(Λ)"
     return True, ""
 
@@ -797,22 +785,6 @@ def _pair_compatible(t1: Polytope, t2: Polytope, n: int) -> bool:
             return False
         cap_vs = cap.vertices
     return _is_face_of_vs(cap_vs, t1) and _is_face_of_vs(cap_vs, t2)
-
-
-def _cell_volume(p: Polytope) -> Fraction:
-    """Euclidean volume of a full-dimensional polytope (shoelace in 2-D)."""
-    if p.ambient_dim == 2:
-        return _area2(_ring2d(p)) / 2
-    return _std_volume(p)
-
-
-def _std_volume(p: Polytope) -> Fraction:
-    from .polyhedra import AffineLatticeFrame, lattice_volume
-    n = p.ambient_dim
-    frame = AffineLatticeFrame(tuple([Fraction(0)] * n),
-                               tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                                     for i in range(n)))
-    return lattice_volume(p, frame)
 
 
 def _is_face_of_vs(cap_vs: Sequence[Vec], p: Polytope) -> bool:
@@ -853,9 +825,14 @@ def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
     envelope certificate, the entries beating ei there are added and the cell
     recomputed, so the result is certified independently of any pruning.  The
     returned points contain all vertices of the cell (possibly with extra
-    collinear boundary points); they are certified to lie on the cell.  In 2-D
-    the box is clipped on integers by the halfplanes (m_j - m_i)·ω <= c_i - c_j
-    of the scan's integerized entries.
+    collinear boundary points); they are certified to lie on the cell.
+
+    In 2-D the certificate stays on integers: the box is clipped by the
+    halfplanes (m_j - m_i)·ω <= c_i - c_j of the scan's integerized entries
+    (`clip_homogeneous`), the ring is full-dimensional when some 3×3
+    determinant of its homogeneous points (X, Y, W) is nonzero, and the
+    argmax at a ring point is that of m·(X, Y) + c·W (`_int_argmax`).
+    Fractions are built only for the returned points.
     """
     n = len(box_lo)
     cons: set[int] = set(i for i in init if i != ei)
@@ -873,24 +850,24 @@ def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
             box_ineqs.append((tuple(-x for x in e), -box_lo[i]))
     while True:
         if n == 2:
-            ring = clip_homogeneous(box_ring, [(m[0] - mx, m[1] - my, mc - ci)
-                                               for m, ci in (ints[i] for i in cons)])
-            pts = [(Fraction(x, w), Fraction(y, w)) for x, y, w in dict.fromkeys(ring)]
+            ring = list(dict.fromkeys(clip_homogeneous(
+                box_ring, [(m[0] - mx, m[1] - my, mc - ci) for m, ci in (ints[i] for i in cons)])))
+            if not any(_int_det((ring[0], ring[1], q)) for q in ring[2:]):
+                return None
+            args = [_int_argmax(ints, (x, y), w)[1] for x, y, w in ring]
         else:
             halfplanes = []
             for i in cons:
                 other = scan.entries[i].piece
                 halfplanes.append((vsub(other.m, me.m), me.c - other.c))
             pts = vertices_of_hrep([], halfplanes + box_ineqs, n)
-        if not pts or _dim_of_points(pts) < n:
-            return None
-        bad: set[int] = set()
-        for u in pts:
-            _, arg = scan.eval(u)
-            if ei not in arg:
-                bad.update(arg)
-        bad -= cons
+            if not pts or _dim_of_points(pts) < n:
+                return None
+            args = [scan.eval(u)[1] for u in pts]
+        bad = {i for arg in args if ei not in arg for i in arg} - cons
         if not bad:
+            if n == 2:
+                return [(Fraction(x, w), Fraction(y, w)) for x, y, w in ring]
             return pts
         cons |= bad
 

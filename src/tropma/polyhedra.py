@@ -246,50 +246,13 @@ def _hull_basis(diffs: list[Vec]) -> list[Vec]:
     return basis
 
 
-def _hull_2d(coords: list[Vec]) -> list[Vec]:
-    """Convex hull of 2-d points, counterclockwise, via the monotone chain."""
-    pts = sorted(set(coords))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Vec] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _facets_brute(coords: list[Vec], d: int) -> list[Halfspace]:
-    """Facet inequalities of a full-dimensional point set in R^d by exhaustion."""
-    facets = set()
-    for combo in itertools.combinations(range(len(coords)), d):
-        pts = [coords[i] for i in combo]
-        rows = [vsub(p, pts[0]) for p in pts[1:]]
-        ns = linalg.nullspace(rows, d) if rows else [
-            tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)]
-        if len(ns) != 1:
-            continue
-        a = ns[0]
-        c = dot(a, pts[0])
-        vals = [dot(a, q) - c for q in coords]
-        if all(v <= 0 for v in vals):
-            facets.add(_canon_ineq(a, c))
-        elif all(v >= 0 for v in vals):
-            facets.add(_canon_ineq(tuple(-x for x in a), -c))
-    return sorted(facets)
-
-
 def hull(points: Iterable[Sequence]) -> Polytope:
-    """Convex hull of rational points, with irredundant V-rep and exact H-rep."""
+    """Convex hull of rational points, with irredundant V-rep and exact H-rep.
+
+    The facets are found on integers in coordinates of the affine hull
+    (`_facets`), and a point is a vertex when the facets through it meet in
+    that point alone.
+    """
     pts = _dedupe_points([vec(p) for p in points])
     if not pts:
         raise ValueError("hull of an empty point set")
@@ -309,38 +272,17 @@ def hull(points: Iterable[Sequence]) -> Polytope:
         return Polytope(n, (base,), tuple(eqs), (), 0, _validate=False)
 
     cols = linalg.transpose(basis)
-    coord_of = {p: linalg.solve(cols, vsub(p, base)) for p in pts}
-
-    if d == 1:
-        order = sorted(pts, key=lambda p: coord_of[p][0])
-        verts = [order[0], order[-1]]
-        local_facets = [((Fraction(-1),), -coord_of[order[0]][0]),
-                        ((Fraction(1),), coord_of[order[-1]][0])]
-    elif d == 2:
-        ring = _hull_2d([coord_of[p] for p in pts])
-        back = {coord_of[p]: p for p in pts}
-        verts = [back[c] for c in ring]
-        local_facets = []
-        for i in range(len(ring)):
-            p, q = ring[i], ring[(i + 1) % len(ring)]
-            a = (q[1] - p[1], -(q[0] - p[0]))
-            local_facets.append((a, dot(a, p)))
-    else:
-        all_coords = [coord_of[p] for p in pts]
-        local_facets = _facets_brute(all_coords, d)
-        verts = []
-        for p in pts:
-            tight = [a for a, c in local_facets if dot(a, coord_of[p]) == c]
-            if linalg.rank(tight) == d:
-                verts.append(p)
-
-    ineqs = []
+    den, coords = _integer_points([linalg.solve(cols, vsub(p, base)) for p in pts])
+    facets = _facets(coords, d)
+    every = frozenset(range(len(pts)))
+    verts = [p for i, p in enumerate(pts)
+             if every.intersection(*(on for _, _, on in facets if i in on)) == {i}]
+    ineqs = set()
     basis_t = tuple(basis)
-    for a, c in local_facets:
+    for a, c, _ in facets:
         u = linalg.solve(basis_t, a)  # rows are basis vectors: <u, basis_i> = a_i
-        off = dot(u, base) + c
-        ineqs.append(_canon_ineq(u, off))
-    ineqs = sorted(set(ineqs))
+        ineqs.add(_canon_ineq(u, dot(u, base) + Fraction(c, den)))
+    ineqs = sorted(ineqs)
 
     return Polytope(n, tuple(sorted(verts)), tuple(eqs), tuple(ineqs), d)
 
@@ -442,50 +384,111 @@ def faces(p: Polytope) -> list[Polytope]:
     return out
 
 
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if not rows:
+        return 1
+    rest = rows[1:]
+    return sum((-a if j % 2 else a) * _int_det([r[:j] + r[j + 1:] for r in rest])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def _integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, the points scaled by D) for the least common denominator D."""
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+
+
+def _facets(pts: list[tuple[int, ...]], d: int) -> list[tuple[tuple[int, ...], int, frozenset]]:
+    """The facets of conv(pts) ⊂ R^d for distinct integer points, as (a, c, on):
+    a·x <= c at every point, with equality exactly at the indices in `on`.
+    [] when the hull is lower-dimensional.
+
+    Every d-subset spans a hyperplane or nothing: its normal is the vector of
+    signed maximal minors of the d - 1 differences, on integers.  The
+    hyperplane supports a facet when no two points lie strictly on opposite
+    sides, and the hull is lower-dimensional when all points lie on it.
+    """
+    facets = {}
+    for combo in itertools.combinations(range(len(pts)), d):
+        p0 = pts[combo[0]]
+        rows = [tuple(x - y for x, y in zip(pts[i], p0)) for i in combo[1:]]
+        a = tuple(-m if j % 2 else m
+                  for j, m in enumerate(_int_det([r[:j] + r[j + 1:] for r in rows])
+                                        for j in range(d)))
+        if not any(a):
+            continue
+        vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
+        c = vals[combo[0]]
+        if all(v == c for v in vals):
+            return []
+        on = frozenset(i for i, v in enumerate(vals) if v == c)
+        if on not in facets:
+            if all(v <= c for v in vals):
+                facets[on] = (a, c, on)
+            elif all(v >= c for v in vals):
+                facets[on] = (tuple(-x for x in a), -c, on)
+    return list(facets.values())
+
+
+def _pulled_simplices(face: frozenset, facets: list[frozenset]) -> Iterable[list[int]]:
+    """The simplices of the pulling triangulation of a face, as index lists.
+
+    The face is coned from its least point over each of its own facets that
+    misses that point, recursively (Büeler–Enge–Fukuda 2000); the facets of
+    a face are the maximal proper nonempty meets of it with the facets of the
+    hull.  Any point of a convex set can be pulled, vertex or not.
+    """
+    if len(face) == 1:
+        yield list(face)
+        return
+    v = min(face)
+    meets = {face & f for f in facets} - {face, frozenset()}
+    for sub in meets:
+        if v not in sub and not any(sub < other for other in meets):
+            for simplex in _pulled_simplices(sub, facets):
+                yield [v] + simplex
+
+
+def volume(points: Sequence[Sequence]) -> Fraction:
+    """Euclidean volume of conv(points) in R^d; 0 when the hull is empty or
+    lower-dimensional, and 1 for a point of R^0.
+
+    The points are scaled once to integers over a common denominator D; the
+    volume is Σ |det(v_1 - v_0, ..., v_d - v_0)| over the simplices of a
+    pulling triangulation, divided by d!·D^d.  Facets come from integer
+    incidence (`_facets`); no Fraction arithmetic is done.  On a
+    full-dimensional polytope in frame coordinates of a saturated frame this
+    is the lattice volume.
+    """
+    if not points:
+        return Fraction(0)
+    d = len(points[0])
+    if d == 0:
+        return Fraction(1)
+    den, pts = _integer_points(points)
+    pts = list(dict.fromkeys(pts))
+    facets = [on for _, _, on in _facets(pts, d)]
+    if not facets:
+        return Fraction(0)
+    total = 0
+    for simplex in _pulled_simplices(frozenset(range(len(pts))), facets):
+        v0 = pts[simplex[0]]
+        total += abs(_int_det([tuple(x - y for x, y in zip(pts[i], v0))
+                               for i in simplex[1:]]))
+    return Fraction(total, math.factorial(d) * den ** d)
+
+
 def lattice_volume(p: Polytope, frame: AffineLatticeFrame) -> Fraction:
-    """Lebesgue volume of p in frame coordinates (frame lattice has covolume 1).
+    """Lebesgue volume of p in frame coordinates (frame lattice has covolume 1):
+    the kernel `volume` on the frame coordinates of p's vertices.
 
     A 0-dimensional polytope has volume 1 (counting measure), so Dirac masses
     compose uniformly with densities downstream.
     """
     if frame.dim != p.dim:
         raise FrameMismatchError("frame mismatch")
-    try:
-        coords = {i: frame.coordinates(v) for i, v in enumerate(p.vertices)}
-    except FrameMismatchError:
-        raise FrameMismatchError("frame mismatch")
-    k = p.dim
-    if k == 0:
-        return Fraction(1)
-
-    face_dims = p._face_vertex_sets()
-    by_dim: dict[int, list[frozenset]] = {}
-    for fset, d in face_dims.items():
-        by_dim.setdefault(d, []).append(fset)
-
-    def bary(fset: frozenset) -> Vec:
-        pts = [coords[i] for i in fset]
-        s = [sum(col, Fraction(0)) for col in zip(*pts)]
-        return tuple(x / len(pts) for x in s)
-
-    total = Fraction(0)
-    kfact = math.factorial(k)
-
-    def chains(fset: frozenset, d: int) -> Iterable[list[frozenset]]:
-        if d == 0:
-            yield [fset]
-            return
-        for sub in by_dim.get(d - 1, []):
-            if sub < fset:
-                for ch in chains(sub, d - 1):
-                    yield ch + [fset]
-
-    top = frozenset(range(len(p.vertices)))
-    for chain in chains(top, k):
-        b0 = bary(chain[0])
-        rows = [vsub(bary(f), b0) for f in chain[1:]]
-        total += abs(linalg.det(rows))
-    return total / kfact
+    return volume([frame.coordinates(v) for v in p.vertices])
 
 
 def homogeneous(point: Sequence[Fraction]) -> tuple[int, int, int]:

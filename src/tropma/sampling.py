@@ -66,9 +66,7 @@ def sampled_subdifferential_volume(f: PeriodicPLFunction, xi: Sequence,
 
 
 def exact_subdifferential_volume(f: PeriodicPLFunction, xi: Sequence) -> Fraction:
-    """Exact companion of the sampled estimate, via the hull construction."""
-    from .polyhedra import lattice_volume
-    sd = subdifferential(f, xi)
-    if sd.dual.dim < f.n:
-        return Fraction(0)
-    return lattice_volume(sd.dual, sd.dual.frame())
+    """Exact companion of the sampled estimate: the volume of the certified
+    subdifferential, zero when it is lower-dimensional."""
+    from .polyhedra import volume
+    return volume(subdifferential(f, xi).dual.vertices)

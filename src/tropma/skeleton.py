@@ -25,7 +25,7 @@ from .linalg import Mat, Vec, dot, vec
 from .ma import Atom, Measure, ma_quadratic_restricted, pushforward
 from .plfunc import (AffinePiece, CertificateError, PeriodicPLFunction, _certified_cell,
                      _dim_of_points, _translates_meeting, linearity_cells)
-from .polyhedra import AffineLatticeFrame, Polytope, hull
+from .polyhedra import AffineLatticeFrame, Polytope, hull, volume
 from .value import Value, setfield
 
 Metric = Union[str, PeriodicPLFunction]
@@ -176,8 +176,14 @@ def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
 def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
                     ) -> list[tuple[Vec, Fraction]]:
     """Atoms (frame coordinates, dual volume) of MA(metric∘f_aff) in relint,
-    given the pullback pieces of the metric on the face."""
-    k = face.frame.dim
+    given the pullback pieces of the metric on the face.
+
+    The candidates are the vertices of the certified cells of the pullback
+    over the carrier's padded box; an atom's mass is the volume of the hull
+    of the argmax slopes (`polyhedra.volume`), which on frame coordinates of
+    the saturated frame is the lattice volume of the dual, and zero unless
+    the dual is full-dimensional.
+    """
     h = PeriodicPLFunction(None, pieces)
     carr_y = hull([face.frame.coordinates(v) for v in face.carrier.vertices])
     lo, hi = carr_y.bbox()
@@ -197,18 +203,10 @@ def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
         if not carr_y.contains_relint(y):
             continue
         _, arg = scan.eval(y)
-        slopes = sorted({scan.entries[i].piece.m for i in arg})
-        if len(slopes) <= k:
-            continue
-        dual = hull(slopes)
-        if dual.dim == k:
-            out.append((y, lattice_volume_dual(dual)))
+        vol = volume(sorted({scan.entries[i].piece.m for i in arg}))
+        if vol:
+            out.append((y, vol))
     return out
-
-
-def lattice_volume_dual(dual: Polytope) -> Fraction:
-    from .polyhedra import lattice_volume
-    return lattice_volume(dual, dual.frame())
 
 
 def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Measure:
@@ -284,8 +282,10 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
                   translates: Optional[Sequence[Polytope]] = None) -> Fraction:
     """Degree of the component at a pullback vertex, (d!/e!)·deg_H·atom mass.
 
-    Requires the vertex to be transversal: the metric complex's face whose
-    relative interior contains f_aff(xi) must have codimension dim(carrier).
+    The atom mass is the volume of the hull of the pullback's argmax slopes
+    at xi (`polyhedra.volume`), as in `_pullback_atoms`.  Requires the vertex
+    to be transversal: the metric complex's face whose relative interior
+    contains f_aff(xi) must have codimension dim(carrier).
     `pieces` are the face's pullback pieces and `translates` cell translates
     of the metric covering f_aff(xi); both are built here when not given.
     """
@@ -298,12 +298,8 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
         pieces = _pullback_pieces(spec.cocycle, metric, face)
     h = PeriodicPLFunction(None, pieces)
     _, arg = h.scan_for(y, y).eval(y)
-    slopes = sorted({h.pieces[i].m for i in arg})
-    k = face.frame.dim
-    if len(slopes) <= k:
-        raise ValueError("xi is not a vertex of the pullback complex")
-    dual = hull(slopes)
-    if dual.dim < k:
+    vol = volume(sorted({h.pieces[i].m for i in arg}))
+    if not vol:
         raise ValueError("xi is not a vertex of the pullback complex")
 
     x = face.f_aff(y)
@@ -311,7 +307,7 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
     n = spec.cocycle.n
     if face.carrier.dim != n - sigma_dim:
         raise ValueError("non-transversal vertex")
-    return _scale(spec, face) * lattice_volume_dual(dual)
+    return _scale(spec, face) * vol
 
 
 def _complex_face_dim_at(metric: PeriodicPLFunction, x: Vec,

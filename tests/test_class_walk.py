@@ -20,14 +20,14 @@ from tropma.plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, _C
                            _certified_cell, _default_collar, _fundamental_bbox,
                            _nearest_indices, _ring2d, _touches_box, linearity_cells,
                            translate_piece)
-from tropma.polyhedra import _hull_2d, clip_polygon, hull
+from tropma.polyhedra import clip_polygon, hull
 
 SETTINGS = settings(max_examples=5, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 def _cell_halfplanes(pts):
-    ring = _hull_2d(list(pts))
+    ring = _ring2d(hull(pts))
     out = []
     for i in range(len(ring)):
         p, q = ring[i], ring[(i + 1) % len(ring)]

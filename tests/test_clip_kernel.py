@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tropma.linalg import dot
-from tropma.polyhedra import _hull_2d, clip_homogeneous, clip_polygon, homogeneous
+from tropma.plfunc import _ring2d
+from tropma.polyhedra import clip_homogeneous, clip_polygon, homogeneous, hull
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -51,10 +52,10 @@ def reference_clip(poly, halfplanes):
 def rings(draw):
     """A counterclockwise convex ring of 3 or more rational points."""
     pts = draw(st.lists(st.tuples(rationals, rationals), min_size=3, max_size=8))
-    ring = _hull_2d(pts)
-    if len(ring) < 3:
-        ring = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-    return ring
+    p = hull(pts)
+    if p.dim < 2:
+        return [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    return _ring2d(p)
 
 
 @st.composite

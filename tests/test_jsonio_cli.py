@@ -540,6 +540,80 @@ def test_optimized_python_gives_the_same_artifact(tmp_path):
     assert json.loads(outs[0])["certificate"]["transversal"]["ok"] is True
 
 
+def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):
+    # ma --fundamental and degree run the integer 2-D certificate and the
+    # volume kernel; both are explicit checks, so python -O changes nothing
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
+    metric = tmp_path / "f.json"
+    metric.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 3))))
+    calls = [["ma", "--in", str(metric), "--fundamental"],
+             ["degree", "--in", str(spec), "--metric", str(metric)]]
+    for argv in calls:
+        outs = []
+        for flags in ([], ["-O"]):
+            p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", *argv],
+                               capture_output=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+            assert p.returncode == 0, p.stderr
+            outs.append(p.stdout)
+        assert outs[0] == outs[1]
+        # det(b)·covol(Λ) = 1 per fundamental domain; the unit square carries 2!·1
+        assert F(json.loads(outs[0])["total"]) == (1 if argv[0] == "ma" else 2)
+
+
+class TestMeasureInputs:
+    """`validate` reads measure artifacts as measures, and `ma --region`
+    rejects a region it cannot use."""
+
+    def test_validate_auto_reads_ma_output_as_a_measure(self, tmp_path, two_tate_json, capsys):
+        assert cli.main(["ma", "--in", two_tate_json, "--k", "2", "--fundamental"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["pieces"] == []
+        mp = tmp_path / "mu.json"
+        mp.write_text(out)
+        assert cli.main(["validate", "--in", str(mp)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"kind": "measure", "valid": True}
+
+    def test_validate_auto_reads_a_pl_skeleton_measure(self, tmp_path, two_tate, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
+        fp = tmp_path / "f.json"
+        fp.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 2))))
+        assert cli.main(["skeleton-measure", "--in", str(spec), "--metric", str(fp)]) == 0
+        mp = tmp_path / "mu.json"
+        mp.write_text(capsys.readouterr().out)
+        assert cli.main(["validate", "--in", str(mp)]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "measure"
+
+    def test_region_of_another_dimension(self, tmp_path, two_tate_json, capsys):
+        # a 3-D region on a function of R^2 was zipped short and gave total 0
+        rp = tmp_path / "r.json"
+        rp.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        assert cli.main(["ma", "--in", two_tate_json, "--k", "2", "--region", str(rp)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "validation",
+                       "message": "the region lies in R^3 but the function in R^2"}
+
+    def test_region_and_fundamental_exclude_each_other(self, tmp_path, two_tate_json, capsys):
+        # the region was read and then ignored
+        rp = tmp_path / "r.json"
+        rp.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
+        assert cli.main(["ma", "--in", two_tate_json, "--region", str(rp),
+                         "--fundamental"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "validation",
+                       "message": "--region and --fundamental exclude each other"}
+        assert cli.main(["ma", "--in", two_tate_json, "--k", "2", "--region", str(rp)]) == 0
+        assert json.loads(capsys.readouterr().out)["atoms"]
+
+
 class TestMalformedFlags:
     """A flag argparse cannot read is a validation error, exit 1, JSON on stdout."""
 
