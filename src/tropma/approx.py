@@ -26,8 +26,7 @@ from .errors import CellWalkError, PerturbationError, StrictificationError
 from .linalg import Vec, dot, vsub
 from .plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
                      TransversalityReport, _closure_under_faces, _fundamental_bbox,
-                     _intersect_fast, _translates_meeting, certify_linearity_tiling,
-                     check_transversal, evaluate, linearity_cells, translate_piece)
+                     certify_linearity_tiling, check_transversal, evaluate, linearity_cells)
 from .polyhedra import Polytope
 from .value import Value, setfield
 
@@ -127,15 +126,18 @@ def tangent_pl(c: Cocycle, k: int) -> PeriodicPLFunction:
 
 
 def tangent_gap(f: PeriodicPLFunction) -> Fraction:
-    """Exact sup of (canonical quadratic - envelope) over a fundamental domain."""
-    c = f.cocycle
-    decomp, cell_pieces, _ = linearity_cells(f)
-    gap = Fraction(0)
-    for idx, cell in enumerate(decomp.cells):
-        p = cell_pieces[idx]
-        for v in cell.vertices:
-            gap = max(gap, c.canonical_value(v) - p.value(v))
-    return gap
+    """Exact sup of (canonical quadratic - envelope) over a fundamental domain.
+    Both obey the cocycle rule, and the quadratic minus a cell's piece is
+    convex, so the sup is at a canonical cell vertex (`_max_above`)."""
+    return _max_above(f, f.cocycle.canonical_value)
+
+
+def _max_above(f: PeriodicPLFunction, g) -> Fraction:
+    """max (g - f) over the vertices of f's canonical cells, for g a function
+    of a point; at a vertex f is its cell's piece, certified by the walk."""
+    decomp, pieces, _ = linearity_cells(f)
+    return max(g(v) - pieces[i].value(v)
+               for i, cell in enumerate(decomp.cells) for v in cell.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def genericity_conditions(pieces: Sequence[AffinePiece], sigma: Sequence[Polytop
     restricts which index tuples are examined (defaults to all of size <= n+2,
     which is only sensible for small piece lists).
     """
-    sigmas = _closure_under_faces(sigma)
+    sigmas = _closure_under_faces(tuple(sigma))
     if tuples is None:
         tuples = [t for size in range(2, n + 3)
                   for t in itertools.combinations(range(len(pieces)), size)]
@@ -302,39 +304,19 @@ def genericity_conditions(pieces: Sequence[AffinePiece], sigma: Sequence[Polytop
 
 
 def _sup_diff(fa: PeriodicPLFunction, fb: PeriodicPLFunction) -> Fraction:
-    """Exact sup |fa - fb| via the common refinement over a fundamental domain."""
-    c = fa.cocycle
-    lo, hi = _fundamental_bbox(c)
-    da, ma, _ = linearity_cells(fa)
-    db, mb, _ = linearity_cells(fb)
+    """Exact sup |fa - fb|: the larger of max (fb - fa) over the vertices of
+    fa's canonical cells and max (fa - fb) over those of fb's.
 
-    def pieces_over(d, pmap):
-        out = []
-        for ci, k, t in _translates_meeting(d, lo, hi):
-            out.append((t, translate_piece(c, pmap[ci], k)))
-        return out
-
-    from .plfunc import _ring2d
-    from .polyhedra import clip_polygon
-
-    best = Fraction(0)
-    tb = pieces_over(db, mb)
-    for cell_a, piece_a in pieces_over(da, ma):
-        alo, ahi = cell_a.bbox()
-        for cell_b, piece_b in tb:
-            blo, bhi = cell_b.bbox()
-            if any(x > y for x, y in zip(alo, bhi)) or any(x > y for x, y in zip(blo, ahi)):
-                continue
-            if c.n == 2:
-                pts = clip_polygon(_ring2d(cell_a), cell_b.inequalities)
-            else:
-                cap = _intersect_fast(cell_a, cell_b)
-                pts = cap.vertices if cap is not None else ()
-            for v in pts:
-                diff = abs(piece_a.value(v) - piece_b.value(v))
-                if diff > best:
-                    best = diff
-    return best
+    Proof.  On a cell C of fa, fa is an affine p, and fb - p is a max of
+    affine functions, hence convex, so max_C (fb - fa) is attained at a
+    vertex of C.  Both functions obey the same cocycle rule, so fb - fa is
+    Λ-periodic, and the translates of the canonical cells cover R^n: the max
+    of fb - fa over R^n is its max over the canonical cells' vertices.  The
+    same holds for fa - fb on the cells of fb, and sup |fa - fb| is the larger
+    of the two maxima, which is >= 0.
+    """
+    return max(_max_above(fa, lambda v: evaluate(fb, v)[0]),
+               _max_above(fb, lambda v: evaluate(fa, v)[0]))
 
 
 def _min_winning_gap(f: PeriodicPLFunction) -> Fraction:

@@ -26,8 +26,9 @@ from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Mat, Vec, dot, vec, vsub
-from .polyhedra import (Polytope, _canon_eq, _int_det, clip_homogeneous, clip_polygon,
-                        homogeneous, hull, intersect, vertices_of_hrep, volume)
+from .polyhedra import (Polytope, _canon_ineq, _int_det, _integer_points, boxes_meet,
+                        clip_homogeneous, clip_polygon, faces, from_incidence,
+                        homogeneous, vertices_of_hrep, volume)
 from .value import Value, setfield
 
 
@@ -213,16 +214,7 @@ def _int_argmax(ints, w: Sequence[int], dw: int) -> tuple[int, list[int]]:
     attaining it: the envelope at the point w/dw, scaled by den·dw."""
     best = None
     arg: list[int] = []
-    n = len(w)
-    if n == 1:
-        w0 = w[0]
-        for i, (mi, ci) in enumerate(ints):
-            v = mi[0] * w0 + ci * dw
-            if best is None or v > best:
-                best, arg = v, [i]
-            elif v == best:
-                arg.append(i)
-    elif n == 2:
+    if len(w) == 2:
         w0, w1 = w
         for i, (mi, ci) in enumerate(ints):
             v = mi[0] * w0 + mi[1] * w1 + ci * dw
@@ -605,7 +597,8 @@ def _k_box(c: Cocycle, target_lo: Vec, target_hi: Vec,
 
 
 def _shifts_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
-    """All (cell_index, k, λ_k) whose translated cell's bbox meets the box [lo, hi]."""
+    """All (cell_index, k, λ_k, bbox of the translated cell) whose bbox meets
+    the box [lo, hi]."""
     out = []
     for ci, cell in enumerate(d.cells):
         clo, chi = cell.bbox()
@@ -613,15 +606,15 @@ def _shifts_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
             lam = d.cocycle.lattice_vector(k)
             tlo = linalg.vadd(clo, lam)
             thi = linalg.vadd(chi, lam)
-            if any(a > b for a, b in zip(tlo, hi)) or any(a > b for a, b in zip(lo, thi)):
+            if not boxes_meet(tlo, thi, lo, hi):
                 continue
-            out.append((ci, k, lam))
+            out.append((ci, k, lam, (tlo, thi)))
     return out
 
 
 def _translates_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
     """All (cell_index, k, translated cell) whose bbox meets the box [lo, hi]."""
-    return [(ci, k, d.cells[ci].translate(lam)) for ci, k, lam in _shifts_meeting(d, lo, hi)]
+    return [(ci, k, d.cells[ci].translate(lam)) for ci, k, lam, _ in _shifts_meeting(d, lo, hi)]
 
 
 _RING_CACHE: dict[tuple, list[Vec]] = {}
@@ -676,12 +669,7 @@ def check_periodic(d: PeriodicDecomposition) -> bool:
 
     total = Fraction(0)
     for _, _, t in _translates_meeting(d, lo, hi):
-        if n == 2:
-            total += volume(clip_polygon(_ring2d(t), dom.halfspaces))
-        else:
-            cap = intersect(t, dom)
-            if cap is not None:
-                total += volume(cap.vertices)
+        total += volume(_cap_vertices(t, dom))
     if total != covol:
         return False
 
@@ -692,15 +680,10 @@ def check_periodic(d: PeriodicDecomposition) -> bool:
     blo = tuple(a - collar for a in lo)
     bhi = tuple(b + collar for b in hi)
     near = [t for _, _, t in _translates_meeting(d, blo, bhi)]
-    boxes = [tuple((float(a), float(b)) for a, b in zip(*t.bbox())) for t in near]
+    boxes = [tuple(tuple(map(float, x)) for x in t.bbox()) for t in near]
     for i, t1 in enumerate(near):
-        b1 = boxes[i]
         for j in range(i + 1, len(near)):
-            b2 = boxes[j]
-            if any(x[0] > y[1] for x, y in zip(b1, b2)) or \
-               any(y[0] > x[1] for x, y in zip(b1, b2)):
-                continue
-            if not _pair_compatible(t1, near[j], n):
+            if boxes_meet(*boxes[i], *boxes[j]) and not _pair_compatible(t1, near[j], n):
                 return False
     return True
 
@@ -747,7 +730,7 @@ def certify_linearity_tiling(f: PeriodicPLFunction, decomp: PeriodicDecompositio
         if key in seen:
             return False, f"class check: cell {i} repeats the Λ-class of another cell"
         seen.add(key)
-    if sum(volume(cell.vertices) for cell in decomp.cells) != c.covolume():
+    if sum(volume(cell.vertices, cell.inequalities) for cell in decomp.cells) != c.covolume():
         return False, "volume check: the cell volumes do not sum to covol(Λ)"
     return True, ""
 
@@ -763,28 +746,16 @@ def _class_key(c: Cocycle, p: AffinePiece) -> tuple[Vec, Fraction]:
 
 def _pair_compatible(t1: Polytope, t2: Polytope, n: int) -> bool:
     """Interiors disjoint and, if the cells meet, they meet in a common face."""
-    lo1, hi1 = t1.bbox()
-    lo2, hi2 = t2.bbox()
-    if any(a > b for a, b in zip(lo1, hi2)) or any(a > b for a, b in zip(lo2, hi1)):
-        return True
     if t1.vertices == t2.vertices:
         return False
-    if n == 2:
-        ring = clip_polygon(_ring2d(t1), t2.inequalities)
-        pts = sorted(set(ring))
-        if not pts:
-            return True
-        if _dim_of_points(pts) == 2:
-            return False
-        cap_vs = (pts[0], pts[-1]) if len(pts) > 1 else (pts[0],)
-    else:
-        cap = intersect(t1, t2)
-        if cap is None:
-            return True
-        if cap.dim == n:
-            return False
-        cap_vs = cap.vertices
-    return _is_face_of_vs(cap_vs, t1) and _is_face_of_vs(cap_vs, t2)
+    cap = _cap_vertices(t1, t2)
+    if not cap:
+        return True
+    dim = _dim_of_points(cap)
+    if dim == n:
+        return False
+    ends = [cap[0], cap[-1]] if dim == 1 else cap    # the segment's vertices
+    return _is_face_of_vs(ends, t1) and _is_face_of_vs(ends, t2)
 
 
 def _is_face_of_vs(cap_vs: Sequence[Vec], p: Polytope) -> bool:
@@ -798,17 +769,6 @@ def _is_face_of_vs(cap_vs: Sequence[Vec], p: Polytope) -> bool:
     return gen == sorted(cap_vs)
 
 
-def _intersect_fast(p: Polytope, q: Polytope) -> Optional[Polytope]:
-    """intersect() with a polygon-clipping fast path for full-dim 2-d cells."""
-    if p.ambient_dim == 2 and p.dim == 2 and q.dim == 2:
-        ring = clip_polygon(_ring2d(p), q.inequalities)
-        pts = list(dict.fromkeys(ring))
-        if not pts:
-            return None
-        return hull(pts)
-    return intersect(p, q)
-
-
 # ---------------------------------------------------------------------------
 # linearity cells
 
@@ -818,8 +778,9 @@ class _CollarTooSmall(Exception):
 
 
 def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
-                    init: Sequence[int] = ()) -> Optional[list[Vec]]:
-    """Points spanning {ω in box : entry ei attains the envelope}, or None.
+                    init: Sequence[int] = (), incidence: bool = False):
+    """Points spanning {ω in box : entry ei attains the envelope}, or None;
+    with `incidence`, (points, the argmax entry indices at each point).
 
     Constraints are grown on demand: whenever a candidate vertex fails the
     envelope certificate, the entries beating ei there are added and the cell
@@ -852,7 +813,7 @@ def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
         if n == 2:
             ring = list(dict.fromkeys(clip_homogeneous(
                 box_ring, [(m[0] - mx, m[1] - my, mc - ci) for m, ci in (ints[i] for i in cons)])))
-            if not any(_int_det((ring[0], ring[1], q)) for q in ring[2:]):
+            if _ring_dim(ring) < 2:
                 return None
             args = [_int_argmax(ints, (x, y), w)[1] for x, y, w in ring]
         else:
@@ -867,8 +828,8 @@ def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
         bad = {i for arg in args if ei not in arg for i in arg} - cons
         if not bad:
             if n == 2:
-                return [(Fraction(x, w), Fraction(y, w)) for x, y, w in ring]
-            return pts
+                pts = [(Fraction(x, w), Fraction(y, w)) for x, y, w in ring]
+            return (pts, args) if incidence else pts
         cons |= bad
 
 
@@ -932,7 +893,9 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
     shifted by λ_k, so one translate of each representative is certified and
     shifted to its canonical translate, whose scan entry gives the tie and the
     neighbours at the canonical cell's vertices.  Every representative in the
-    tie is done; only neighbours of classes not done are walked.
+    tie is done; only neighbours of classes not done are walked.  Each cell is
+    built from the argmax sets its certificate ends with (`_cell_from_ties`),
+    equal to `hull` of its points field by field, with no facet search.
     """
     c = f.cocycle
     box_lo = tuple(a - collar for a in flo)
@@ -952,12 +915,14 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
         e = entries[ei]
         if e.rep_index in done:
             continue
-        pts = _certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32))
-        if pts is None:
+        got = _certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32),
+                              incidence=True)
+        if got is None:
             continue
+        pts, args = got
         if _touches_box(pts, box_lo, box_hi):
             raise _CollarTooSmall()
-        cell = hull(pts)
+        cell = _cell_from_ties(scan, ei, pts, args)
         _, kshift = c.canonicalize(cell.barycenter())
         ccell = cell.translate(tuple(-x for x in c.lattice_vector(kshift))) \
             if any(kshift) else cell
@@ -967,13 +932,8 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
                 any(a > b for a, b in zip(chi, box_hi)):
             raise _CollarTooSmall()
 
-        tie: Optional[set[int]] = None
-        neighbors: set[int] = set()
-        for u in ccell.vertices:
-            _, arg = scan.eval(u)
-            s = set(arg)
-            tie = s if tie is None else (tie & s)
-            neighbors |= s
+        ties = [set(scan.eval(u)[1]) for u in ccell.vertices]
+        tie, neighbors = set.intersection(*ties), set.union(*ties)
         if not tie or ci not in tie:
             raise CellWalkError("cell certificate failed: the walked entry does not "
                                "attain the envelope on its whole cell")
@@ -986,16 +946,32 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
                 enqueued.add(i)
                 queue.append(i)
 
-    cells = []
-    pieces = []
-    strict = done == set(range(len(f.pieces)))
-    for key in sorted(canonical):
-        ccell, piece, unique = canonical[key]
-        cells.append(ccell)
-        pieces.append(piece)
-        strict = strict and unique
-    decomp = PeriodicDecomposition(c, tuple(cells))
-    return decomp, dict(enumerate(pieces)), strict
+    walked = [canonical[key] for key in sorted(canonical)]
+    strict = done == set(range(len(f.pieces))) and all(unique for _, _, unique in walked)
+    return (PeriodicDecomposition(c, tuple(cell for cell, _, _ in walked)),
+            dict(enumerate(piece for _, piece, _ in walked)), strict)
+
+
+def _cell_from_ties(scan: _EnvelopeScan, ei: int, pts: Sequence[Vec], args) -> Polytope:
+    """conv(pts), the certified cell of entry ei, from its certificate's incidence.
+
+    args[i] is the argmax set at pts[i].  Entry j ties with ei exactly on the
+    hyperplane (m_j - m_e)·ω = c_e - c_j, and p_j <= p_e on the cell, so the
+    points where j ties but not everywhere are a proper face with that
+    inequality.  The cell does not touch the search box, so every facet is
+    among them (`from_incidence` keeps the maximal ones).
+    """
+    me = scan.entries[ei].piece
+    ties: dict[frozenset, int] = {}
+    for j in set().union(*args):
+        on = frozenset(i for i, arg in enumerate(args) if j in arg)
+        if len(on) < len(pts):
+            ties.setdefault(on, j)
+    supports = []
+    for on, j in ties.items():
+        q = scan.entries[j].piece
+        supports.append((_canon_ineq(vsub(q.m, me.m), me.c - q.c), on))
+    return from_incidence(pts, supports)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,74 +1062,87 @@ class TransversalityReport(Value):
         return self.ok or not self.criterion_ok
 
 
-def _closure_under_faces(sigma: Sequence[Polytope]) -> list[Polytope]:
-    from .polyhedra import faces as faces_of
-    out: dict[tuple, Polytope] = {}
-    for s in sigma:
-        for ff in faces_of(s):
-            out[ff.vertices] = ff
-    return [out[k] for k in sorted(out)]
+@functools.lru_cache(maxsize=16)
+def _closure_under_faces(sigma: tuple[Polytope, ...]) -> tuple[Polytope, ...]:
+    """The faces of the polytopes of Σ, each once, in vertex order.  Cached:
+    each perturbation draw closes the same Σ for genericity and transversality."""
+    out = {ff.vertices: ff for s in sigma for ff in faces(s)}
+    return tuple(out[k] for k in sorted(out))
 
 
-def _faces_fast(p: Polytope) -> list[Polytope]:
-    """All faces of p without re-deriving H-representations from scratch.
+def _cap_vertices(p: Polytope, q: Polytope) -> list[Vec]:
+    """Sorted points of p ∩ q among which are its vertices, [] when it is
+    empty; no hull is built.  A 2-D polygon p is clipped (`clip_polygon`),
+    which may add points inside an edge; otherwise they are the vertices."""
+    if not boxes_meet(*p.bbox(), *q.bbox()):
+        return []
+    if p.ambient_dim == 2 and p.dim == 2:
+        return sorted(set(clip_polygon(_ring2d(p), q.halfspaces)))
+    eqs = list(dict.fromkeys(p.equations + q.equations))
+    ineqs = list(dict.fromkeys(p.inequalities + q.inequalities))
+    return vertices_of_hrep(eqs, ineqs, p.ambient_dim)
 
-    A face's halfspace description is the cell's plus the tight inequalities
-    promoted to equations; the inequality list may be redundant on the face,
-    which the consumers here (dimension and hull-intersection tests) allow.
+
+def _ring_dim(ring: Sequence[tuple[int, int, int]]) -> int:
+    """Dimension of homogeneous points (X, Y, W), W > 0, or -1 if there are
+    none: two distinct points and a third span the plane when their 3×3
+    determinant is nonzero."""
+    pts = list(dict.fromkeys(ring))
+    if len(pts) <= 1:
+        return len(pts) - 1
+    return 2 if any(_int_det((pts[0], pts[1], q)) for q in pts[2:]) else 1
+
+
+def _face_orbits(d: PeriodicDecomposition):
+    """(orbit, k0) for each face (`faces`) of each cell, and each orbit's first
+    face with its k0.  The face is its Λ-orbit's representative shifted by
+    λ_k0, so the face of the cell's translate by k is (orbit, k0 + k); the
+    representative is the translate whose least vertex in lattice coordinates
+    lies in the half-open fundamental parallelepiped, found on integers."""
+    pden, pinv = _integer_points(_cocycle_quadratic_data(d.cocycle).period_inv)
+    verts = list(dict.fromkeys(v for cell in d.cells for v in cell.vertices))
+    vden, scaled = _integer_points(verts)
+    den = pden * vden
+    ints = {v: tuple(sum(a * b for a, b in zip(row, w)) for row in pinv)
+            for v, w in zip(verts, scaled)}
+    orbits: dict[tuple, int] = {}
+    bases, out = [], []
+    for cell in d.cells:
+        out.append([])
+        for ff in faces(cell):
+            pts = sorted(ints[v] for v in ff.vertices)
+            k0 = tuple(x // den for x in pts[0])
+            rep = tuple(tuple(x - den * k for x, k in zip(p, k0)) for p in pts)
+            if rep not in orbits:
+                orbits[rep] = len(bases)
+                bases.append((ff, k0))
+            out[-1].append((orbits[rep], k0))
+    return out, bases
+
+
+def _criterion_forms(s: Polytope, ff: Polytope, n: int, moves: Sequence[Vec]):
+    """The sufficiency criterion on (σ, ff + λ_μ) as integer forms (B, T): it
+    holds at μ when B != <T, μ> for some form.
+
+    D >= 0: the linear hulls span R^n, a rank of vertex differences that no
+    translate changes, so the forms are [(1, 0)] or [].  D < 0: the affine
+    hulls are disjoint, that is the stacked equations of σ - λ_μ and ff have
+    no solution; by the Fredholm alternative some y of the left nullspace of
+    the normals has y·rhs_μ != 0, where y·rhs_μ = y·rhs_0 - <T, μ> with
+    T_l = Σ_{i in σ} y_i a_i·λ_l.  moves[l] lists a_i·λ_l over σ's equations.
     """
-    out = []
-    for fset, d in p._face_vertex_sets().items():
-        verts = tuple(sorted(p.vertices[i] for i in fset))
-        if len(fset) == len(p.vertices):
-            out.append(p)
-            continue
-        tight = []
-        loose = []
-        for a, c in p.inequalities:
-            if all(dot(a, p.vertices[i]) == c for i in fset):
-                tight.append(_canon_eq(a, c))
-            else:
-                loose.append((a, c))
-        out.append(Polytope(p.ambient_dim, verts,
-                            tuple(list(p.equations) + tight), tuple(loose),
-                            d, _validate=False))
-    return out
-
-
-def _shift_face(p: Polytope, lam: Vec) -> Polytope:
-    """p + λ, with its equations in the canonical form `_faces_fast` gives them,
-    so that the faces of a translated cell are those of the cell, shifted."""
-    return Polytope(p.ambient_dim, tuple(sorted(linalg.vadd(v, lam) for v in p.vertices)),
-                    tuple(_canon_eq(a, c + dot(a, lam)) for a, c in p.equations),
-                    tuple((a, c + dot(a, lam)) for a, c in p.inequalities),
-                    p.dim, _validate=False)
-
-
-def _intersection_dim(p: Polytope, q: Polytope) -> int:
-    """Dimension of p ∩ q, or -1 when empty (no hull construction)."""
-    lo_p, hi_p = p.bbox()
-    lo_q, hi_q = q.bbox()
-    if any(a > b for a, b in zip(lo_p, hi_q)) or any(a > b for a, b in zip(lo_q, hi_p)):
-        return -1
-    if p.ambient_dim == 2 and p.dim == 2 and q.dim == 2:
-        pts = set(clip_polygon(_ring2d(p), q.inequalities))
-        return _dim_of_points(sorted(pts))
-    eqs = list(dict.fromkeys(list(p.equations) + list(q.equations)))
-    ineqs = list(dict.fromkeys(list(p.inequalities) + list(q.inequalities)))
-    verts = vertices_of_hrep(eqs, ineqs, p.ambient_dim)
-    return _dim_of_points(verts)
-
-
-def _criterion_pair(sigma: Polytope, cell: Polytope, n: int, expected: int) -> bool:
-    if expected >= 0:
-        dirs = list(sigma.frame().basis) + list(cell.frame().basis)
-        return linalg.rank(dirs) == n
-    rows = [a for a, _ in sigma.equations] + [a for a, _ in cell.equations]
-    rhs = [cc for _, cc in sigma.equations] + [cc for _, cc in cell.equations]
-    if not rows:
-        return False
-    return linalg.solve(rows, rhs) is None
+    if s.dim + ff.dim - n >= 0:
+        dirs = [vsub(v, p.vertices[0]) for p in (s, ff) for v in p.vertices[1:]]
+        return [(1, (0,) * n)] if max(s.dim, ff.dim) == n or linalg.rank(dirs) == n else []
+    rows = [a for a, _ in s.equations + ff.equations]
+    rhs = [cc for _, cc in s.equations + ff.equations]
+    forms = []
+    for y in linalg.nullspace(linalg.transpose(rows), len(rows)) if rows else ():
+        t = [dot(y, move) for move in moves]
+        b = dot(y, rhs)
+        den = linalg.common_denominator([b] + t)
+        forms.append((_scaled_int(b, den), tuple(_scaled_int(x, den) for x in t)))
+    return forms
 
 
 def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
@@ -1164,37 +1153,62 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
     near σ, the definition requires dim(σ ∩ Δ) = dim σ + dim Δ - n whenever
     the intersection is nonempty.  The sufficiency criterion is evaluated on
     the same pairs: linear hulls must span when D(σ,Δ) >= 0 and affine hulls
-    must be disjoint when D(σ,Δ) < 0.  The faces of each cell are computed
-    once and shifted to each of its translates.
+    must be disjoint when D(σ,Δ) < 0.
+
+    The faces of the canonical cells are computed once.  A face of a
+    translate is a canonical face Δ shifted by λ, identified by its Λ-orbit
+    and shift (`_face_orbits`), and the pair (σ, Δ + λ) is checked as
+    (σ - λ, Δ).  The criterion is set up once per (σ, orbit)
+    (`_criterion_forms`), after which a translate costs one integer dot per
+    form.  In 2-D the intersection is Δ's ring (a point, a segment or a
+    polygon) clipped by σ - λ on integers; otherwise it is `vertices_of_hrep`
+    on the translated face Δ + λ, which is also what each row holds.
     """
-    n = d.cocycle.n
-    sigmas = _closure_under_faces(sigma)
+    c = d.cocycle
+    n = c.n
+    sigmas = _closure_under_faces(tuple(sigma))
     rows: list[TransversalityRow] = []
-    violations = []
-    cell_faces: dict[int, list[Polytope]] = {}
-    translate_faces: dict[tuple, list[Polytope]] = {}
+    orbit_faces, bases = _face_orbits(d)
+    rings = [[homogeneous(v) for v in _ring2d(ff)] for ff, _ in bases] if n == 2 else None
+    cells: dict[tuple, Polytope] = {}
+    lo = tuple(min(col) for col in zip(*(s.bbox()[0] for s in sigmas)))
+    hi = tuple(max(col) for col in zip(*(s.bbox()[1] for s in sigmas)))
+    near = _shifts_meeting(d, lo, hi) if sigmas else []
 
     for s in sigmas:
-        slo, shi = s.bbox()
-        seen_faces: set[tuple] = set()
-        for ci, k, lam in _shifts_meeting(d, slo, shi):
-            tf = translate_faces.get((ci, k))
-            if tf is None:
-                if ci not in cell_faces:
-                    cell_faces[ci] = _faces_fast(d.cells[ci])
-                tf = [_shift_face(ff, lam) for ff in cell_faces[ci]]
-                translate_faces[(ci, k)] = tf
-            for ff in tf:
-                if ff.vertices in seen_faces:
+        moves = [[dot(a, lam) for a, _ in s.equations] for lam in c.periods]
+        planes = []     # σ - λ_μ = {a0·x + a1·y <= C - <T, μ>} on integers
+        for a, cc in s.halfspaces if n == 2 else ():
+            t = [dot(a, lam) for lam in c.periods]
+            den = linalg.common_denominator([*a, cc, *t])
+            planes.append((*(_scaled_int(x, den) for x in a), _scaled_int(cc, den),
+                           [_scaled_int(x, den) for x in t]))
+        criteria: dict[int, list] = {}
+        seen: set[tuple] = set()
+        for ci, k, _, box in near:
+            if not boxes_meet(*box, *s.bbox()):
+                continue
+            for orbit, k0 in orbit_faces[ci]:
+                key = (orbit, tuple(a + b for a, b in zip(k0, k)))
+                if key in seen:
                     continue
-                seen_faces.add(ff.vertices)
+                seen.add(key)
+                ff, base_k0 = bases[orbit]
+                mu = tuple(a - b for a, b in zip(key[1], base_k0))
+                cell = cells.get(key) or cells.setdefault(key, ff.translate(c.lattice_vector(mu)))
                 expected = s.dim + ff.dim - n
-                idim = _intersection_dim(s, ff)
-                def_ok = idim == -1 or idim == expected
-                crit_ok = _criterion_pair(s, ff, n, expected)
-                rows.append(TransversalityRow(s, ff, idim, expected, def_ok, crit_ok))
-                if not def_ok:
-                    violations.append((s, ff, idim, expected))
-    ok = all(r.definition_ok for r in rows)
-    crit = all(r.criterion_ok for r in rows)
-    return TransversalityReport(ok, tuple(violations), tuple(rows), crit)
+                if n == 2:
+                    idim = _ring_dim(clip_homogeneous(rings[orbit], [
+                        (a0, a1, cc - sum(x * m for x, m in zip(t, mu)))
+                        for a0, a1, cc, t in planes]))
+                else:
+                    idim = _dim_of_points(_cap_vertices(s, cell))
+                if orbit not in criteria:
+                    criteria[orbit] = _criterion_forms(s, ff, n, moves)
+                crit_ok = any(b != sum(x * m for x, m in zip(t, mu)) for b, t in criteria[orbit])
+                rows.append(TransversalityRow(s, cell, idim, expected,
+                                              idim in (-1, expected), crit_ok))
+    violations = tuple((r.sigma, r.cell, r.intersection_dim, r.expected)
+                       for r in rows if not r.definition_ok)
+    return TransversalityReport(not violations, violations, tuple(rows),
+                                all(r.criterion_ok for r in rows))

@@ -128,16 +128,23 @@ class Polytope:
             self._check_consistency()
 
     def _check_consistency(self):
-        for v in self.vertices:
-            for a, c in self.equations:
-                if dot(a, v) != c:
+        """Every vertex satisfies every equation and inequality, and each
+        inequality is tight on at least dim vertices; on integers: the
+        vertices are scaled once to a common denominator, each halfspace once
+        to an integer row."""
+        den, verts = _integer_points(self.vertices)
+        eqs = [_int_halfspace(a, c, den) for a, c in self.equations]
+        ineqs = [_int_halfspace(a, c, den) for a, c in self.inequalities]
+        for v in verts:
+            for a, c in eqs:
+                if sum(x * y for x, y in zip(a, v)) != c:
                     raise ValueError("vertex violates an affine-hull equation")
-            for a, c in self.inequalities:
-                if dot(a, v) > c:
+            for a, c in ineqs:
+                if sum(x * y for x, y in zip(a, v)) > c:
                     raise ValueError("vertex violates a halfspace")
         if self.dim >= 1:
-            for a, c in self.inequalities:
-                tight = sum(1 for v in self.vertices if dot(a, v) == c)
+            for a, c in ineqs:
+                tight = sum(1 for v in verts if sum(x * y for x, y in zip(a, v)) == c)
                 if tight < self.dim:
                     raise ValueError("halfspace not tight on a facet")
 
@@ -192,9 +199,12 @@ class Polytope:
     def _face_vertex_sets(self) -> dict[frozenset, int]:
         """All nonempty faces as vertex-index sets, mapped to their dimension."""
         idx_all = frozenset(range(len(self.vertices)))
+        den, verts = _integer_points(self.vertices)
         facets = []
         for a, c in self.inequalities:
-            tight = frozenset(i for i, v in enumerate(self.vertices) if dot(a, v) == c)
+            a, c = _int_halfspace(a, c, den)
+            tight = frozenset(i for i, v in enumerate(verts)
+                              if sum(x * y for x, y in zip(a, v)) == c)
             if tight and tight != idx_all:
                 facets.append(tight)
         found = {idx_all}
@@ -210,9 +220,9 @@ class Polytope:
             frontier = nxt
         dims = {}
         for fset in found:
-            pts = [self.vertices[i] for i in fset]
-            diffs = [vsub(p, pts[0]) for p in pts[1:]]
-            dims[fset] = linalg.rank(diffs) if diffs else 0
+            first, *rest = (verts[i] for i in fset)
+            dims[fset] = len(linalg._eliminate(
+                [[x - y for x, y in zip(v, first)] for v in rest], full=False)) if rest else 0
         return dims
 
     def __eq__(self, other):
@@ -273,18 +283,31 @@ def hull(points: Iterable[Sequence]) -> Polytope:
 
     cols = linalg.transpose(basis)
     den, coords = _integer_points([linalg.solve(cols, vsub(p, base)) for p in pts])
-    facets = _facets(coords, d)
+    basis_t = tuple(basis)
+    facets = []
+    for a, c, on in _facets(coords, d):
+        u = linalg.solve(basis_t, a)  # rows are basis vectors: <u, basis_i> = a_i
+        facets.append((_canon_ineq(u, dot(u, base) + Fraction(c, den)), on))
+    return from_incidence(pts, facets, tuple(eqs), d)
+
+
+def from_incidence(pts: Sequence[Vec], supports: Sequence[tuple[Halfspace, frozenset]],
+                   equations: tuple[Halfspace, ...] = (), dim: Optional[int] = None
+                   ) -> Polytope:
+    """conv(pts) from proper faces given as (inequality, indices of the points
+    on it), among them every facet with its inequality in canonical form.
+    The facets are the maximal faces, and a point is a vertex when the facets
+    through it meet in it alone, which drops points inside an edge or a
+    facet.  Shared by `hull` and by the cell walk, which reads the incidence
+    off its certificate.
+    """
+    facets = [(ineq, on) for ineq, on in supports if not any(on < other for _, other in supports)]
     every = frozenset(range(len(pts)))
     verts = [p for i, p in enumerate(pts)
-             if every.intersection(*(on for _, _, on in facets if i in on)) == {i}]
-    ineqs = set()
-    basis_t = tuple(basis)
-    for a, c, _ in facets:
-        u = linalg.solve(basis_t, a)  # rows are basis vectors: <u, basis_i> = a_i
-        ineqs.add(_canon_ineq(u, dot(u, base) + Fraction(c, den)))
-    ineqs = sorted(ineqs)
-
-    return Polytope(n, tuple(sorted(verts)), tuple(eqs), tuple(ineqs), d)
+             if every.intersection(*(on for _, on in facets if i in on)) == {i}]
+    n = len(pts[0])
+    return Polytope(n, tuple(sorted(verts)), equations,
+                    tuple(sorted({ineq for ineq, _ in facets})), n if dim is None else dim)
 
 
 def vertices_of_hrep(equations: Sequence[Halfspace],
@@ -332,19 +355,21 @@ def vertices_of_hrep(equations: Sequence[Halfspace],
             return []
         ys = [(lo,), (hi,)] if lo != hi else [(lo,)]
     else:
-        ys = []
-        seen = set()
-        for combo in itertools.combinations(red, f):
+        # each basis of f inequalities is solved by Cramer's rule on integers:
+        # y = (det of the rows with column j replaced by the right-hand side) / det
+        ints = [_int_halfspace(a, c, 1) for a, c in red]
+        found = set()
+        for combo in itertools.combinations(ints, f):
             rows = [a for a, _ in combo]
-            rhs = [c for _, c in combo]
-            if linalg.rank(rows) != f:
+            d = _int_det(rows)
+            if not d:
                 continue
-            y = linalg.solve(rows, rhs)
-            if y is None or y in seen:
-                continue
-            if all(dot(a, y) <= c for a, c in red):
-                seen.add(y)
-                ys.append(y)
+            nums = [_int_det([a[:j] + (c,) + a[j + 1:] for a, c in combo]) for j in range(f)]
+            if d < 0:
+                d, nums = -d, [-x for x in nums]
+            if all(sum(x * y for x, y in zip(a, nums)) <= c * d for a, c in ints):
+                found.add(tuple(Fraction(x, d) for x in nums))
+        ys = list(found)
 
     out = []
     for y in ys:
@@ -355,13 +380,16 @@ def vertices_of_hrep(equations: Sequence[Halfspace],
     return sorted(set(out))
 
 
+def boxes_meet(lo1: Sequence, hi1: Sequence, lo2: Sequence, hi2: Sequence) -> bool:
+    """Whether the boxes [lo1, hi1] and [lo2, hi2] intersect."""
+    return all(a <= d and c <= b for a, b, c, d in zip(lo1, hi1, lo2, hi2))
+
+
 def intersect(p: Polytope, q: Polytope) -> Optional[Polytope]:
     """Intersection of two polytopes; None when empty."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    lo_p, hi_p = p.bbox()
-    lo_q, hi_q = q.bbox()
-    if any(a > b for a, b in zip(lo_p, hi_q)) or any(a > b for a, b in zip(lo_q, hi_p)):
+    if not boxes_meet(*p.bbox(), *q.bbox()):
         return None
     eqs = list(dict.fromkeys(list(p.equations) + list(q.equations)))
     ineqs = list(dict.fromkeys(list(p.inequalities) + list(q.inequalities)))
@@ -377,15 +405,42 @@ def affine_data(p: Polytope) -> tuple[int, AffineLatticeFrame]:
 
 
 def faces(p: Polytope) -> list[Polytope]:
-    """All nonempty faces of p, including p itself, each exactly once."""
+    """All nonempty faces of p, including p itself, each exactly once.
+
+    Each face is read off p's own incidence, with no hull: its equations are
+    those `hull` gives its affine hull, and its facets are its maximal proper
+    meets with the facets of p, each with the first inequality of p that cuts
+    it out.
+    """
+    tight = [(ineq, frozenset(i for i, v in enumerate(p.vertices) if dot(ineq[0], v) == ineq[1]))
+             for ineq in p.inequalities]
     out = []
-    for fset in sorted(p._face_vertex_sets(), key=lambda s: (len(s), sorted(s))):
-        out.append(hull([p.vertices[i] for i in fset]))
+    for fset, d in sorted(p._face_vertex_sets().items(),
+                          key=lambda item: (len(item[0]), sorted(item[0]))):
+        verts = tuple(sorted(p.vertices[i] for i in fset))
+        diffs = [vsub(v, verts[0]) for v in verts[1:]]
+        eqs = tuple(sorted(_canon_eq(w, dot(w, verts[0]))
+                           for w in linalg.nullspace(diffs, p.ambient_dim)))
+        meets = {}
+        for ineq, on in tight:
+            cap = fset & on
+            if cap and cap != fset:
+                meets.setdefault(cap, ineq)
+        ineqs = {ineq for cap, ineq in meets.items() if not any(cap < other for other in meets)}
+        out.append(Polytope(p.ambient_dim, verts, eqs, tuple(sorted(ineqs)), d))
     return out
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small square integer matrix, by cofactor expansion."""
+    """Determinant of a small square integer matrix: written out up to 3×3,
+    where the certificates and kernels spend their time, else by cofactor
+    expansion."""
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     if not rows:
         return 1
     rest = rows[1:]
@@ -397,6 +452,14 @@ def _integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tup
     """(D, the points scaled by D) for the least common denominator D."""
     den = math.lcm(*(x.denominator for p in points for x in p))
     return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+
+
+def _int_halfspace(a: Sequence[Fraction], c: Fraction, den: int) -> tuple[tuple[int, ...], int]:
+    """(A, C) with A·x <= C at x = X/den exactly when a·X/den <= c, on integers:
+    the halfspace scaled by the least common denominator of its entries."""
+    s = math.lcm(c.denominator, *(x.denominator for x in a))
+    return (tuple(x.numerator * (s // x.denominator) for x in a),
+            c.numerator * (s // c.denominator) * den)
 
 
 def _facets(pts: list[tuple[int, ...]], d: int) -> list[tuple[tuple[int, ...], int, frozenset]]:
@@ -450,16 +513,20 @@ def _pulled_simplices(face: frozenset, facets: list[frozenset]) -> Iterable[list
                 yield [v] + simplex
 
 
-def volume(points: Sequence[Sequence]) -> Fraction:
+def volume(points: Sequence[Sequence],
+           inequalities: Optional[Sequence[Halfspace]] = None) -> Fraction:
     """Euclidean volume of conv(points) in R^d; 0 when the hull is empty or
     lower-dimensional, and 1 for a point of R^0.
 
     The points are scaled once to integers over a common denominator D; the
     volume is Σ |det(v_1 - v_0, ..., v_d - v_0)| over the simplices of a
     pulling triangulation, divided by d!·D^d.  Facets come from integer
-    incidence (`_facets`); no Fraction arithmetic is done.  On a
-    full-dimensional polytope in frame coordinates of a saturated frame this
-    is the lattice volume.
+    incidence: the points tight on each of `inequalities` when the caller
+    knows the hull's facets (a full-dimensional polytope's own inequalities,
+    with its distinct vertices as the points), else the brute-force
+    `_facets`.  No Fraction arithmetic is done.  On a full-dimensional
+    polytope in frame coordinates of a saturated frame this is the lattice
+    volume.
     """
     if not points:
         return Fraction(0)
@@ -467,8 +534,12 @@ def volume(points: Sequence[Sequence]) -> Fraction:
     if d == 0:
         return Fraction(1)
     den, pts = _integer_points(points)
-    pts = list(dict.fromkeys(pts))
-    facets = [on for _, _, on in _facets(pts, d)]
+    if inequalities is None:
+        pts = list(dict.fromkeys(pts))
+        facets = [on for _, _, on in _facets(pts, d)]
+    else:
+        facets = [frozenset(i for i, v in enumerate(pts) if sum(x * y for x, y in zip(a, v)) == c)
+                  for a, c in (_int_halfspace(*h, den) for h in inequalities)]
     if not facets:
         return Fraction(0)
     total = 0

@@ -5,7 +5,8 @@
 routines they replaced are kept here as references (the reduced row echelon
 form is unique, so the results must be the same Fractions), and compared with
 them over random rational matrices and random polarized cocycles in
-dimensions 1 to 3.
+dimensions 1 to 3.  `polyhedra._int_det`, written out up to 3×3, is compared
+with the Fraction determinant on the same matrices scaled to integers.
 """
 
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from tropma import linalg
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot, matvec, vadd
 from tropma.plfunc import AffinePiece, translate_piece
+from tropma.polyhedra import _int_det
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -217,6 +219,15 @@ def test_det_and_inverse_match(rows):
         got = linalg.inverse(rows)
         assert got == ref_inverse(rows)
         assert all(_fractions(r) for r in got)
+
+
+@SETTINGS
+@given(matrices(square=True))
+@example([[0, 1], [1, 0]])
+@example([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+def test_integer_det_matches(rows):
+    ints = [tuple(int(F(x) * linalg.common_denominator(map(F, r))) for x in r) for r in rows]
+    assert _int_det(ints) == ref_det(ints)
 
 
 def test_empty_inputs():
