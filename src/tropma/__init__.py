@@ -15,7 +15,7 @@ import importlib
 
 _EXPORTS = {
     "polyhedra": ("AffineLatticeFrame", "AmbientLattice", "FrameMismatchError", "Polytope",
-                  "affine_data", "faces", "hull", "intersect", "lattice_volume"),
+                  "faces", "hull", "intersect", "lattice_volume"),
     "cocycle": ("Cocycle", "UnpolarizedError"),
     "plfunc": ("AffinePiece", "CellWalkError", "CertificateError", "PeriodicDecomposition",
                "PeriodicPLFunction", "TransversalityReport", "certify_linearity_tiling",

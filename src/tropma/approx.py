@@ -119,7 +119,7 @@ def tangent_pl(c: Cocycle, k: int) -> PeriodicPLFunction:
                 w0 = [x + Fraction(ji, k) * y for x, y in zip(w0, lam)]
         w0 = tuple(w0)
         m = c.canonical_gradient(w0)
-        pieces.append(AffinePiece(m, c.canonical_value(w0) - dot(m, w0), anchor=w0))
+        pieces.append(AffinePiece(m, c.canonical_value(w0) - dot(m, w0)))
     f = PeriodicPLFunction(c, pieces)
     linearity_cells(f)
     return f
@@ -205,6 +205,7 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
         return Fraction(0) if d == 0 else delta_t / ratio ** (n - d)
 
     pieces: list[AffinePiece] = []
+    centers: list[Vec] = []
     simplices: list[Polytope] = []
     targets: dict[Vec, Fraction] = {}
     from .polyhedra import hull
@@ -234,8 +235,8 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
             if sol is None:
                 raise StrictificationError("barycentric simplex is degenerate")
             m, cc = sol[:-1], sol[-1]
-            center = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
-            pieces.append(AffinePiece(tuple(m), cc, anchor=center))
+            pieces.append(AffinePiece(tuple(m), cc))
+            centers.append(tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts)))
             simplices.append(hull(pts))
 
     g = PeriodicPLFunction(c, pieces)
@@ -251,8 +252,7 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
         got, _ = scan.eval(point)
         if got != val:
             return None
-    for piece, simplex in zip(pieces, simplices):
-        center = piece.anchor
+    for piece, center in zip(pieces, centers):
         val, arg = scan.eval(center)
         if len(arg) != 1 or val != piece.value(center):
             return None
@@ -384,7 +384,7 @@ def perturb_generic(f: PeriodicPLFunction, sigma: Sequence[Polytope], eps: Fract
         for p in f.pieces:
             dm = tuple(x + _rand_frac(rng, r) for x in p.m)
             dc = p.c + _rand_frac(rng, r)
-            pieces.append(AffinePiece(dm, dc, anchor=p.anchor))
+            pieces.append(AffinePiece(dm, dc))
         f2 = PeriodicPLFunction(c, pieces)
         try:
             decomp2, map2, strict2 = linearity_cells(f2)

@@ -33,15 +33,13 @@ from .value import Value, setfield
 
 
 class AffinePiece(Value):
-    """An affine function ω ↦ <m, ω> + c; its anchor takes no part in comparison."""
+    """An affine function ω ↦ <m, ω> + c."""
 
-    _fields = ("m", "c", "anchor")
-    _compare = ("m", "c")
+    _fields = ("m", "c")
 
-    def __init__(self, m: Vec, c: Fraction, anchor: Optional[Vec] = None):
+    def __init__(self, m: Vec, c: Fraction):
         setfield(self, "m", m)
         setfield(self, "c", c)
-        setfield(self, "anchor", anchor)
 
     def value(self, omega: Sequence[Fraction]) -> Fraction:
         return dot(self.m, omega) + self.c
@@ -72,8 +70,7 @@ def translate_piece(c: Cocycle, p: AffinePiece, k: Sequence[int]) -> AffinePiece
     scale = _translate_scale(q, (p,))
     m_int, c_int = _translate_ints(q, _piece_ints(q, p, scale), scale, k,
                                    _quad_form(q.b_int, k))
-    anchor = linalg.vadd(p.anchor, c.lattice_vector(k)) if p.anchor is not None else None
-    return AffinePiece(tuple(Fraction(v, scale) for v in m_int), Fraction(c_int, scale), anchor)
+    return AffinePiece(tuple(Fraction(v, scale) for v in m_int), Fraction(c_int, scale))
 
 
 class PeriodicPLFunction:
@@ -133,11 +130,15 @@ class PeriodicPLFunction:
 
 
 def _default_collar(f: PeriodicPLFunction) -> Fraction:
-    """Initial search collar: roughly three cell widths, at most one period."""
+    """Initial search collar: roughly three cell widths, at most one period.
+
+    The mesh estimate is the integer floor n-th root of the piece count, the
+    k of a mesh with kⁿ pieces."""
     lo, hi = _fundamental_bbox(f.cocycle)
     width = max(b - a for a, b in zip(lo, hi))
-    mesh = max(1, math.isqrt(len(f.pieces)) if f.n == 2 else
-               round(len(f.pieces) ** (1.0 / f.n)))
+    mesh = 1
+    while (mesh + 1) ** f.n <= len(f.pieces):
+        mesh += 1
     return max(width * 3 / mesh, width / 4)
 
 
@@ -170,9 +171,6 @@ class _EnvelopeScan:
                 raise UnpolarizedError("envelope diverges")
             self.entries = _enumerate_entries(f, lo, hi)
             self.den, self._ints = self.entries.den, self.entries.ints
-        self.anchors_float = [
-            tuple(float(x) for x in e.piece.anchor) if e.piece.anchor is not None else None
-            for e in self.entries]
 
     def covers(self, lo: Vec, hi: Vec) -> bool:
         return all(a <= b for a, b in zip(self.lo, lo)) and \
@@ -535,9 +533,7 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
         m_int = tuple(v // g for v in m_int)
         c_int //= g
         out.ints.append((m_int, c_int))
-        p = f.pieces[pi]
-        anchor = linalg.vadd(p.anchor, c.lattice_vector(k)) if p.anchor is not None else None
-        piece = AffinePiece(tuple(Fraction(v, den) for v in m_int), Fraction(c_int, den), anchor)
+        piece = AffinePiece(tuple(Fraction(v, den) for v in m_int), Fraction(c_int, den))
         out.append(TranslatedPiece(piece, pi, k))
     return out
 
@@ -778,15 +774,17 @@ class _CollarTooSmall(Exception):
 
 
 def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
-                    init: Sequence[int] = (), incidence: bool = False):
+                    incidence: bool = False):
     """Points spanning {ω in box : entry ei attains the envelope}, or None;
     with `incidence`, (points, the argmax entry indices at each point).
 
-    Constraints are grown on demand: whenever a candidate vertex fails the
-    envelope certificate, the entries beating ei there are added and the cell
-    recomputed, so the result is certified independently of any pruning.  The
-    returned points contain all vertices of the cell (possibly with extra
-    collinear boundary points); they are certified to lie on the cell.
+    The constraints start from the 32 entries nearest to ei by slope
+    (`_nearest_indices`) and are grown on demand: whenever a candidate vertex
+    fails the envelope certificate, the entries beating ei there are added and
+    the cell recomputed, so the result is certified independently of the
+    seeds and of any pruning.  The returned points contain all vertices of
+    the cell (possibly with extra collinear boundary points, which may depend
+    on the constraint set); they are certified to lie on the cell.
 
     In 2-D the certificate stays on integers: the box is clipped by the
     halfplanes (m_j - m_i)·ω <= c_i - c_j of the scan's integerized entries
@@ -796,7 +794,7 @@ def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
     Fractions are built only for the returned points.
     """
     n = len(box_lo)
-    cons: set[int] = set(i for i in init if i != ei)
+    cons: set[int] = set(_nearest_indices(scan, ei, 32))
     if n == 2:
         ints = scan._ints
         (mx, my), mc = ints[ei]
@@ -839,15 +837,12 @@ def _touches_box(pts: Sequence[Vec], box_lo: Vec, box_hi: Vec) -> bool:
 
 
 def _nearest_indices(scan: _EnvelopeScan, ei: int, count: int) -> list[int]:
-    af = scan.anchors_float[ei]
-    if af is None:
-        return []
-    cand = []
-    for i, other in enumerate(scan.anchors_float):
-        if i == ei or other is None:
-            continue
-        cand.append((max(abs(x - a) for x, a in zip(other, af)), i))
-    return [i for _, i in heapq.nsmallest(count, cand)]
+    """The `count` entries other than ei nearest to it by the L∞ distance of
+    their integer slopes, ties by index: the likely facets of ei's cell."""
+    ints = scan._ints
+    me = ints[ei][0]
+    return heapq.nsmallest(count, (i for i in range(len(ints)) if i != ei),
+                           key=lambda i: max(abs(a - b) for a, b in zip(ints[i][0], me)))
 
 
 def linearity_cells(f: PeriodicPLFunction):
@@ -915,8 +910,7 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
         e = entries[ei]
         if e.rep_index in done:
             continue
-        got = _certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32),
-                              incidence=True)
+        got = _certified_cell(scan, ei, box_lo, box_hi, incidence=True)
         if got is None:
             continue
         pts, args = got

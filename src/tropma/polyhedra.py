@@ -399,11 +399,6 @@ def intersect(p: Polytope, q: Polytope) -> Optional[Polytope]:
     return hull(verts)
 
 
-def affine_data(p: Polytope) -> tuple[int, AffineLatticeFrame]:
-    """Dimension of the affine hull and a saturated lattice frame for it."""
-    return p.dim, p.frame()
-
-
 def faces(p: Polytope) -> list[Polytope]:
     """All nonempty faces of p, including p itself, each exactly once.
 

@@ -2,11 +2,10 @@
 
 A subclass names its fields in `_fields` and sets each one in its own
 `__init__` with `setfield(self, name, value)`, next to its validation.
-`Value` then gives it equality and hashing over those fields (over
-`_compare` instead, when some fields take no part in comparison), a repr,
+`Value` then gives it equality and hashing over those fields, a repr,
 `replace`, and attributes that cannot be assigned.  Equality and hashing
-read the compared fields with one class-level `operator.attrgetter`: two
-values are equal when they are of the same class and those fields are.
+read the fields with one class-level `operator.attrgetter`: two values are
+equal when they are of the same class and their fields are.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ setfield = object.__setattr__
 
 class Value:
     _fields: tuple[str, ...] = ()
-    _compare: tuple[str, ...] | None = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = operator.attrgetter(*(cls._compare or cls._fields))
+        cls._key = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -121,8 +121,7 @@ def _random_strict_function(cocycle, k, seed):
         pieces = []
         for p in base.pieces:
             dm = tuple(x + _rand_frac(rng, F(1, 40)) for x in p.m)
-            pieces.append(AffinePiece(dm, p.c + _rand_frac(rng, F(1, 40)),
-                                      anchor=p.anchor))
+            pieces.append(AffinePiece(dm, p.c + _rand_frac(rng, F(1, 40))))
         f = PeriodicPLFunction(cocycle, pieces)
         if linearity_cells(f)[2]:
             return f

@@ -24,7 +24,7 @@ from tropma import linalg
 from tropma.approx import _max_above, _sup_diff
 from tropma.plfunc import (AffinePiece, _cell_from_ties, _certified_cell,
                            _closure_under_faces, _default_collar, _dim_of_points,
-                           _fundamental_bbox, _nearest_indices, _ring2d, _shifts_meeting,
+                           _fundamental_bbox, _ring2d, _shifts_meeting,
                            _translates_meeting, check_transversal, evaluate,
                            translate_piece)
 from tropma.polyhedra import (Polytope, _canon_eq, clip_polygon, hull, intersect,
@@ -144,7 +144,7 @@ def perturbed(f, seed, grain=256):
     """A draw as `perturb_generic` makes it: every slope and constant moved."""
     rng = random.Random(seed)
     pieces = [AffinePiece(tuple(x + F(rng.randint(-4, 4), grain) for x in p.m),
-                          p.c + F(rng.randint(-4, 4), grain), p.anchor) for p in f.pieces]
+                          p.c + F(rng.randint(-4, 4), grain)) for p in f.pieces]
     return PeriodicPLFunction(f.cocycle, pieces)
 
 
@@ -252,8 +252,7 @@ def test_incidence_cells_equal_the_hull_of_their_points(c, k, seed):
         box_hi = tuple(b + collar for b in fhi)
         scan = f.scan_for(box_lo, box_hi)
         for ei in range(0, len(scan.entries), 4):
-            got = _certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32),
-                                  incidence=True)
+            got = _certified_cell(scan, ei, box_lo, box_hi, incidence=True)
             if got is None:
                 continue
             pts, args = got

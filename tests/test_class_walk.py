@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from test_strict_skip import polarized_cocycles
 
 import tropma.plfunc as pl
-from tropma import PeriodicPLFunction, tangent_pl
+from tropma import PeriodicPLFunction, jsonio, tangent_pl
 from tropma.linalg import dot
 from tropma.plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, _CollarTooSmall,
-                           _certified_cell, _default_collar, _fundamental_bbox,
+                           _EnvelopeScan, _certified_cell, _default_collar, _fundamental_bbox,
                            _nearest_indices, _ring2d, _touches_box, linearity_cells,
                            translate_piece)
 from tropma.polyhedra import clip_polygon, hull
@@ -50,7 +50,7 @@ def reference_walk(f, dom, flo, fhi, collar):
     canonical = {}
     while queue:
         ei = queue.pop()
-        pts = _certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32))
+        pts = _certified_cell(scan, ei, box_lo, box_hi)
         if pts is None:
             continue
         meets_dom = bool(clip_polygon(dom_ring, _cell_halfplanes(pts)))
@@ -112,7 +112,6 @@ def assert_same_walk(c, pieces):
     got = linearity_cells(PeriodicPLFunction(c, pieces))
     want = reference_cells(PeriodicPLFunction(c, pieces))
     assert got[0].cells == want[0].cells
-    assert [p.anchor for p in got[1].values()] == [p.anchor for p in want[1].values()]
     assert got[1] == want[1]
     assert got[2] == want[2]
     return got
@@ -128,7 +127,7 @@ def test_class_walk_matches_per_translate_walk(c, k):
 @given(polarized_cocycles(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_class_walk_matches_on_perturbed_and_non_strict(c, shifts):
     base = tangent_pl(c, 2).pieces
-    perturbed = [AffinePiece(p.m, p.c + F(s, 64), p.anchor) for p, s in zip(base, shifts)]
+    perturbed = [AffinePiece(p.m, p.c + F(s, 64)) for p, s in zip(base, shifts)]
     assert_same_walk(c, perturbed)
     assert not assert_same_walk(c, list(base) + [base[0]])[2]
     # a piece that never attains the envelope leaves a representative uncovered
@@ -152,3 +151,15 @@ def test_one_certificate_per_piece_when_strict(two_tate, monkeypatch):
         decomp, _, strict = linearity_cells(f)
         assert strict and len(decomp.cells) == k * k
         assert len(calls) == k * k
+
+
+def test_a_function_read_from_json_gets_the_same_seeds(two_tate):
+    # the seeds come from the pieces' slopes alone, which the JSON round trip keeps
+    f = tangent_pl(two_tate, 3)
+    g = jsonio.dec_function(jsonio.loads(jsonio.dumps(jsonio.enc_function(f))))
+    box = (F(-1), F(-1)), (F(2), F(2))
+    sf, sg = _EnvelopeScan(f, *box), _EnvelopeScan(g, *box)
+    assert [e.piece for e in sf.entries] == [e.piece for e in sg.entries]
+    for ei in range(len(sf.entries)):
+        seeds = _nearest_indices(sg, ei, 32)
+        assert seeds and seeds == _nearest_indices(sf, ei, 32)

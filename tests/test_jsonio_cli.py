@@ -392,6 +392,34 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_floats_only_where_allowed():
+    # results are exact: outside the plotting and sampling modules, the name
+    # `float` and float literals may appear only in the functions listed here
+    import ast
+    from pathlib import Path
+
+    allowed = {"jsonio.dec_q",              # rejects floats on input
+               "plfunc.check_periodic"}     # bbox prefilter for input decompositions
+    pkg = Path(__file__).resolve().parents[1] / "src" / "tropma"
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            is_float = (isinstance(child, ast.Name) and child.id == "float") or \
+                (isinstance(child, ast.Constant) and type(child.value) is float)
+            if is_float and not any(inner == a or inner.startswith(a + ".") for a in allowed):
+                found.append(f"{inner}:{child.lineno}")
+            visit(child, inner)
+
+    for path in sorted(pkg.glob("*.py")):
+        if path.name not in ("sampling.py", "svgplot.py"):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == []
+
+
 def _run_cli(tmp_path, args, data=None, name="in.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))

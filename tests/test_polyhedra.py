@@ -4,8 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropma import (AffineLatticeFrame, FrameMismatchError, affine_data, faces,
-                    hull, intersect, lattice_volume)
+from tropma import AffineLatticeFrame, FrameMismatchError, faces, hull, intersect, lattice_volume
 from tropma.linalg import dot, rank, solve, vsub
 
 
@@ -95,16 +94,19 @@ class TestIntersect:
 
 class TestAffineData:
     def test_segment_primitive_direction(self):
-        d, fr = affine_data(hull([(0, 0), (2, 2)]))
+        p = hull([(0, 0), (2, 2)])
+        d, fr = p.dim, p.frame()
         assert d == 1
         assert fr.basis == ((F(1), F(1)),)
 
     def test_point(self):
-        d, fr = affine_data(hull([(3, 4)]))
+        p = hull([(3, 4)])
+        d, fr = p.dim, p.frame()
         assert d == 0 and fr.basis == ()
 
     def test_triangle_in_plane_z0(self):
-        d, fr = affine_data(hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)]))
+        p = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)])
+        d, fr = p.dim, p.frame()
         assert d == 2
         # oracle: the basis must generate exactly span ∩ Z^3
         for v in fr.basis:
@@ -117,7 +119,8 @@ class TestAffineData:
             assert all(x.denominator == 1 for x in coords)
 
     def test_skew_segment_saturation(self):
-        d, fr = affine_data(hull([(0, 0), (4, 6)]))
+        p = hull([(0, 0), (4, 6)])
+        d, fr = p.dim, p.frame()
         assert d == 1
         assert fr.basis == ((F(2), F(3)),)
 

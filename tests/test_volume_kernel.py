@@ -168,7 +168,7 @@ def test_volume_small_cases():
        st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_atom_masses_match_the_hull_frame_dual_volume(c, k, shifts):
     base = tangent_pl(c, k).pieces
-    pieces = [AffinePiece(p.m, p.c + F(s, 64), p.anchor) for p, s in zip(base, shifts)]
+    pieces = [AffinePiece(p.m, p.c + F(s, 64)) for p, s in zip(base, shifts)]
     f = PeriodicPLFunction(c, pieces + list(base[len(shifts):]))
     decomp, _, _ = linearity_cells(f)
     points = {v for cell in decomp.cells for v in cell.vertices}
@@ -212,7 +212,7 @@ def fraction_certified_cell(scan, ei, box_lo, box_hi, init=()):
        st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_integer_certificate_matches_fraction_certificate(c, k, shifts):
     base = tangent_pl(c, k).pieces
-    pieces = [AffinePiece(p.m, p.c + F(s, 64), p.anchor) for p, s in zip(base, shifts)]
+    pieces = [AffinePiece(p.m, p.c + F(s, 64)) for p, s in zip(base, shifts)]
     f = PeriodicPLFunction(c, pieces + list(base[len(shifts):]))
     flo, fhi = _fundamental_bbox(c)
     collar = _default_collar(f)
@@ -226,14 +226,17 @@ def test_integer_certificate_matches_fraction_certificate(c, k, shifts):
     chosen = dict.fromkeys([*seed, *_nearest_indices(scan, seed[0], 8), far[0], far[-1]])
     cells = 0
     for ei in chosen:
-        for init in ((), _nearest_indices(scan, ei, 32)):
-            got = _certified_cell(scan, ei, box_lo, box_hi, init)
-            want = fraction_certified_cell(scan, ei, box_lo, box_hi, init)
+        got = _certified_cell(scan, ei, box_lo, box_hi)
+        seeded = fraction_certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32))
+        unseeded = fraction_certified_cell(scan, ei, box_lo, box_hi)
+        assert (got is None) == (seeded is None) == (unseeded is None)
+        if got is not None:
             # the constraints are clipped in set order, which may differ
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert sorted(got) == sorted(want)
-                cells += 1
+            assert sorted(got) == sorted(seeded)
+            # extra collinear boundary points may depend on the constraint
+            # set, so the unseeded certificate is compared as a cell
+            assert hull(got).vertices == hull(unseeded).vertices
+            cells += 1
     assert cells > 0
 
 
@@ -243,14 +246,16 @@ def test_a_piece_attaining_on_an_edge_only_has_no_cell(two_tate):
     # must reject it as lower-dimensional
     base = tangent_pl(two_tate, 2).pieces
     p, q = base[0], base[1]
-    mid = tuple((a + b) / 2 for a, b in zip(p.anchor, q.anchor))
-    avg = AffinePiece(tuple((a + b) / 2 for a, b in zip(p.m, q.m)), (p.c + q.c) / 2, mid)
+    # the tangent points of p and q on the mesh (1/2)Λ
+    tp, tq = (F(0), F(0)), tuple(x / 2 for x in two_tate.periods[1])
+    mid = tuple((a + b) / 2 for a, b in zip(tp, tq))
+    avg = AffinePiece(tuple((a + b) / 2 for a, b in zip(p.m, q.m)), (p.c + q.c) / 2)
     f = PeriodicPLFunction(two_tate, list(base) + [avg])
     box_lo, box_hi = (F(-1), F(-1)), (F(2), F(2))
     scan = f.scan_for(box_lo, box_hi)
     touching = [i for i in scan.eval(mid)[1] if scan.entries[i].rep_index == len(base)]
     assert touching
     for ei in touching:
+        assert _certified_cell(scan, ei, box_lo, box_hi) is None
         for init in ((), _nearest_indices(scan, ei, 32)):
-            assert _certified_cell(scan, ei, box_lo, box_hi, init) is None
             assert fraction_certified_cell(scan, ei, box_lo, box_hi, init) is None
