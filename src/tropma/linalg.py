@@ -196,21 +196,36 @@ def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : rows @ x = 0} over the rationals, one vector per free column."""
+    """Basis of {x : rows @ x = 0} over the rationals, one vector per free
+    column f, with x_f = 1: `int_nullspace` divided by its x_f, which is the
+    vector's last nonzero entry, since a pivot column precedes the free
+    columns its row reaches."""
     if not rows:
         n = ncols if ncols is not None else 0
         return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    n = len(rows[0])
-    red = _int_rows(rows)
-    pivots = _eliminate(red, full=True)
-    free = [c for c in range(n) if c not in pivots]
+    out = []
+    for w in int_nullspace(_int_rows(rows), len(rows[0])):
+        big = next(x for x in reversed(w) if x)
+        out.append(tuple(Fraction(x, big) for x in w))
+    return out
+
+
+def int_nullspace(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Basis of {x : rows @ x = 0} for integer rows, on integers: per free
+    column f the vector with x_f = L, the lcm of the pivots, zeros at the
+    other free columns, and the pivot entries the reduced row echelon form
+    gives."""
+    m = [list(r) for r in rows]
+    pivots = _eliminate(m, full=True) if m else []
+    big = math.lcm(*(row[c] for row, c in zip(m, pivots)))
     basis = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for row, c in zip(red, pivots):
-            x[c] = Fraction(-row[f], row[c])
-        basis.append(tuple(x))
+    for f in range(n):
+        if f not in pivots:
+            x = [0] * n
+            x[f] = big
+            for row, c in zip(m, pivots):
+                x[c] = -row[f] * (big // row[c])
+            basis.append(x)
     return basis
 
 

@@ -25,9 +25,9 @@ from typing import NamedTuple, Optional, Sequence
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
-from .linalg import Mat, Vec, dot, vec, vsub
-from .polyhedra import (Polytope, _canon_ineq, _int_det, _integer_points, boxes_meet,
-                        clip_homogeneous, clip_polygon, faces, from_incidence,
+from .linalg import Mat, Vec, dot, vadd, vec, vsub
+from .polyhedra import (Polytope, _canon_ineq, _faces, _int_det, _int_halfspace, _integer_points,
+                        boxes_meet, clip_homogeneous, clip_polygon, faces, from_incidence,
                         homogeneous, vertices_of_hrep, volume)
 from .value import Value, setfield
 
@@ -130,7 +130,8 @@ class PeriodicPLFunction:
 
 
 def _default_collar(f: PeriodicPLFunction) -> Fraction:
-    """Initial search collar: roughly three cell widths, at most one period.
+    """Initial search collar: roughly two cell widths, at least a quarter
+    period.
 
     The mesh estimate is the integer floor n-th root of the piece count, the
     k of a mesh with kⁿ pieces."""
@@ -139,7 +140,7 @@ def _default_collar(f: PeriodicPLFunction) -> Fraction:
     mesh = 1
     while (mesh + 1) ** f.n <= len(f.pieces):
         mesh += 1
-    return max(width * 3 / mesh, width / 4)
+    return max(width * 2 / mesh, width / 4)
 
 
 class _EnvelopeScan:
@@ -575,71 +576,63 @@ class PeriodicDecomposition(Value):
         setfield(self, "cells", cells)
 
 
-def _k_box(c: Cocycle, target_lo: Vec, target_hi: Vec,
-           cell_lo: Vec, cell_hi: Vec) -> list[range]:
-    """Integer ranges covering all k with bbox(cell + Σ k_i λ_i) meeting the target."""
-    lo = vsub(target_lo, cell_hi)
-    hi = vsub(target_hi, cell_lo)
-    pinv = _cocycle_quadratic_data(c).period_inv
-    mins = [None] * c.n
-    maxs = [None] * c.n
-    for x in _box_corners(lo, hi):
-        t = linalg.matvec(pinv, x)
-        for i, ti in enumerate(t):
-            mins[i] = ti if mins[i] is None or ti < mins[i] else mins[i]
-            maxs[i] = ti if maxs[i] is None or ti > maxs[i] else maxs[i]
-    return [range(linalg.ceil_frac(a) - 1, linalg.floor_frac(b) + 2)
-            for a, b in zip(mins, maxs)]
-
-
-def _shifts_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
-    """All (cell_index, k, λ_k, bbox of the translated cell) whose bbox meets
-    the box [lo, hi]."""
+def _shifts_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec) -> list[tuple[int, tuple]]:
+    """All (cell_index, k) whose translate by λ_k has a bbox meeting the box
+    [lo, hi], in order of cell and then of k, on integers over one common
+    denominator.  k ranges over the lattice coordinates of the shifts that
+    carry the cell's bbox onto the box, widened by one."""
+    c = d.cocycle
+    n = c.n
+    pden, pinv = _integer_points(_cocycle_quadratic_data(c).period_inv)
+    den, (lo, hi, *pts) = _integer_points(
+        [lo, hi, *c.periods, *(x for cell in d.cells for x in cell.bbox())])
+    lams, scale = pts[:n], pden * den
     out = []
-    for ci, cell in enumerate(d.cells):
-        clo, chi = cell.bbox()
-        for k in itertools.product(*_k_box(d.cocycle, lo, hi, clo, chi)):
-            lam = d.cocycle.lattice_vector(k)
-            tlo = linalg.vadd(clo, lam)
-            thi = linalg.vadd(chi, lam)
-            if not boxes_meet(tlo, thi, lo, hi):
-                continue
-            out.append((ci, k, lam, (tlo, thi)))
+    for ci in range(len(d.cells)):
+        clo, chi = pts[n + 2 * ci], pts[n + 2 * ci + 1]
+        dlo, dhi = vsub(lo, chi), vsub(hi, clo)
+        ranges = []
+        for row in pinv:    # the least and greatest lattice coordinate on [dlo, dhi]
+            low = sum(m * (a if m > 0 else b) for m, a, b in zip(row, dlo, dhi))
+            high = sum(m * (b if m > 0 else a) for m, a, b in zip(row, dlo, dhi))
+            ranges.append(range(-(-low // scale) - 1, high // scale + 2))
+        for k in itertools.product(*ranges):
+            t = [sum(ki * lam[j] for ki, lam in zip(k, lams)) for j in range(n)]
+            if boxes_meet(vadd(clo, t), vadd(chi, t), lo, hi):
+                out.append((ci, k))
     return out
 
 
 def _translates_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec):
     """All (cell_index, k, translated cell) whose bbox meets the box [lo, hi]."""
-    return [(ci, k, d.cells[ci].translate(lam)) for ci, k, lam, _ in _shifts_meeting(d, lo, hi)]
+    return [(ci, k, d.cells[ci].translate(d.cocycle.lattice_vector(k)))
+            for ci, k in _shifts_meeting(d, lo, hi)]
 
 
-_RING_CACHE: dict[tuple, list[Vec]] = {}
-
-
+@functools.lru_cache(maxsize=65536)
 def _ring2d(p: Polytope) -> list[Vec]:
-    """Vertices of a 2-d polytope in counterclockwise order."""
-    cached = _RING_CACHE.get(p.vertices)
-    if cached is not None:
-        return cached
-    if len(p.vertices) <= 2:
-        ring = list(p.vertices)
-    else:
-        b = p.barycenter()
+    """Vertices of a 2-d polytope in counterclockwise order; cached by vertices."""
+    return [p.vertices[i] for i in _ccw(_integer_points(p.vertices)[1])]
 
-        def cmp(u, v):
-            du, dv = vsub(u, b), vsub(v, b)
-            hu = 0 if (du[1], du[0]) > (0, 0) else 1
-            hv = 0 if (dv[1], dv[0]) > (0, 0) else 1
-            if hu != hv:
-                return -1 if hu < hv else 1
-            cr = du[0] * dv[1] - du[1] * dv[0]
-            return 0 if cr == 0 else (-1 if cr > 0 else 1)
 
-        ring = sorted(p.vertices, key=functools.cmp_to_key(cmp))
-    if len(_RING_CACHE) > 100000:
-        _RING_CACHE.clear()
-    _RING_CACHE[p.vertices] = ring
-    return ring
+def _ccw(pts: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of the vertices of a polygon, given as integer points, in
+    counterclockwise order by angle around their barycenter, starting at
+    angle 0; two or fewer points keep their order."""
+    m = len(pts)
+    if m <= 2:
+        return list(range(m))
+    sx, sy = sum(x for x, _ in pts), sum(y for _, y in pts)
+    rel = [(m * x - sx, m * y - sy) for x, y in pts]
+    half = [0 if (dy, dx) > (0, 0) else 1 for dx, dy in rel]
+
+    def cmp(i, j):
+        if half[i] != half[j]:
+            return half[i] - half[j]
+        cr = rel[i][0] * rel[j][1] - rel[i][1] * rel[j][0]
+        return (cr < 0) - (cr > 0)
+
+    return sorted(range(m), key=functools.cmp_to_key(cmp))
 
 
 def _dim_of_points(pts: Sequence[Vec]) -> int:
@@ -1087,56 +1080,87 @@ def _ring_dim(ring: Sequence[tuple[int, int, int]]) -> int:
     return 2 if any(_int_det((pts[0], pts[1], q)) for q in pts[2:]) else 1
 
 
-def _face_orbits(d: PeriodicDecomposition):
-    """(orbit, k0) for each face (`faces`) of each cell, and each orbit's first
-    face with its k0.  The face is its Λ-orbit's representative shifted by
-    λ_k0, so the face of the cell's translate by k is (orbit, k0 + k); the
-    representative is the translate whose least vertex in lattice coordinates
-    lies in the half-open fundamental parallelepiped, found on integers."""
-    pden, pinv = _integer_points(_cocycle_quadratic_data(d.cocycle).period_inv)
-    verts = list(dict.fromkeys(v for cell in d.cells for v in cell.vertices))
-    vden, scaled = _integer_points(verts)
-    den = pden * vden
-    ints = {v: tuple(sum(a * b for a, b in zip(row, w)) for row in pinv)
-            for v, w in zip(verts, scaled)}
+def _face_orbits(d: PeriodicDecomposition, extra: Sequence[Vec]):
+    """(den, periods, extra, cells, bases) on integers, all times the common
+    denominator den of the periods, the cell vertices and the points `extra`.
+    cells[ci] is (bbox of cell ci, [(orbit, bbox, offset) per face]), a face
+    (`faces`) being its Λ-orbit's base shifted by offset, and bases[orbit] is
+    (face, vertices, k0) of the orbit's first face, lying at λ_k0 from the
+    translate whose least vertex in lattice coordinates lies in the
+    half-open fundamental parallelepiped, which keys the orbit.  A bbox is
+    (lows, highs)."""
+    c = d.cocycle
+    n = c.n
+    pden, pinv = _integer_points(_cocycle_quadratic_data(c).period_inv)
+    den, pts = _integer_points([*c.periods, *extra,
+                                *(v for cell in d.cells for v in cell.vertices)])
+    lams, extra, pts = pts[:n], pts[n:n + len(extra)], iter(pts[n + len(extra):])
     orbits: dict[tuple, int] = {}
-    bases, out = [], []
+    bases, cells = [], []
     for cell in d.cells:
-        out.append([])
-        for ff in faces(cell):
-            pts = sorted(ints[v] for v in ff.vertices)
-            k0 = tuple(x // den for x in pts[0])
-            rep = tuple(tuple(x - den * k for x, k in zip(p, k0)) for p in pts)
+        verts = [next(pts) for _ in cell.vertices]
+        lat = [tuple(sum(a * b for a, b in zip(row, v)) for row in pinv) for v in verts]
+        cells.append((_int_box(verts), []))
+        for idx, ff in _faces(cell):
+            ps = sorted(lat[i] for i in idx)
+            k0 = tuple(x // (pden * den) for x in ps[0])
+            rep = tuple(tuple(x - pden * den * k for x, k in zip(p, k0)) for p in ps)
             if rep not in orbits:
                 orbits[rep] = len(bases)
-                bases.append((ff, k0))
-            out[-1].append((orbits[rep], k0))
-    return out, bases
+                bases.append((ff, [verts[i] for i in idx], k0))
+            orbit = orbits[rep]
+            mu = [a - b for a, b in zip(k0, bases[orbit][2])]
+            off = tuple(sum(m * lam[j] for m, lam in zip(mu, lams)) for j in range(n))
+            cells[-1][1].append((orbit, _int_box([verts[i] for i in idx]), off))
+    return den, lams, extra, cells, bases
 
 
-def _criterion_forms(s: Polytope, ff: Polytope, n: int, moves: Sequence[Vec]):
-    """The sufficiency criterion on (σ, ff + λ_μ) as integer forms (B, T): it
-    holds at μ when B != <T, μ> for some form.
+def _int_box(pts: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    cols = list(zip(*pts))
+    return [min(x) for x in cols], [max(x) for x in cols]
 
-    D >= 0: the linear hulls span R^n, a rank of vertex differences that no
-    translate changes, so the forms are [(1, 0)] or [].  D < 0: the affine
-    hulls are disjoint, that is the stacked equations of σ - λ_μ and ff have
-    no solution; by the Fredholm alternative some y of the left nullspace of
-    the normals has y·rhs_μ != 0, where y·rhs_μ = y·rhs_0 - <T, μ> with
-    T_l = Σ_{i in σ} y_i a_i·λ_l.  moves[l] lists a_i·λ_l over σ's equations.
+
+def _translator(p: Polytope, verts: Sequence[tuple[int, ...]], den: int):
+    """t -> p.translate(t/den) for integer t, with p's vertices given times
+    den: a halfspace a·x <= c is A·x <= C on integers with A = s·a, and its
+    constant moves to (C·den + A·t)/(s·den)."""
+    hs = [(a, _int_halfspace(a, c, 1), math.lcm(c.denominator, *(x.denominator for x in a)) * den)
+          for a, c in p.equations + p.inequalities]
+    ne = len(p.equations)
+
+    def at(t: Sequence[int]) -> Polytope:
+        moved = tuple((a, Fraction(big_c * den + sum(x * y for x, y in zip(big_a, t)), sd))
+                      for a, (big_a, big_c), sd in hs)
+        return Polytope(p.ambient_dim,
+                        tuple(tuple(Fraction(x + y, den) for x, y in zip(v, t)) for v in verts),
+                        moved[:ne], moved[ne:], p.dim, _validate=False)
+    return at
+
+
+def _criterion_forms(srows, frows, den: int, expected: int):
+    """The sufficiency criterion on (σ, ff + t/den) as integer forms (B, W):
+    it holds at the shift t when B != <W, t> for some form.  srows and frows
+    are the equations A·x = C of σ and ff on integers, n - dim of each and
+    independent.  Both cases read the left nullspace Y of the stacked
+    normals.  D >= 0: the linear hulls span R^n exactly when their normal
+    spaces meet only in 0, that is when Y is empty, which no shift changes.
+    D < 0: the affine hulls are disjoint, that is the stacked equations of
+    σ - t/den and ff have no solution; by the Fredholm alternative some y in
+    Y has y·rhs_t != 0, where den·y·rhs_t = den·y·C - <W, t> for
+    W = Σ_{i in σ} y_i A_i.
     """
-    if s.dim + ff.dim - n >= 0:
-        dirs = [vsub(v, p.vertices[0]) for p in (s, ff) for v in p.vertices[1:]]
-        return [(1, (0,) * n)] if max(s.dim, ff.dim) == n or linalg.rank(dirs) == n else []
-    rows = [a for a, _ in s.equations + ff.equations]
-    rhs = [cc for _, cc in s.equations + ff.equations]
-    forms = []
-    for y in linalg.nullspace(linalg.transpose(rows), len(rows)) if rows else ():
-        t = [dot(y, move) for move in moves]
-        b = dot(y, rhs)
-        den = linalg.common_denominator([b] + t)
-        forms.append((_scaled_int(b, den), tuple(_scaled_int(x, den) for x in t)))
-    return forms
+    rows = srows + frows
+    ys = _left_nullspace(tuple(a for a, _ in rows))
+    if expected >= 0:
+        return [] if ys else [(1, ())]
+    return [(den * sum(yi * cc for yi, (_, cc) in zip(y, rows)),
+             [sum(yi * a[j] for yi, (a, _) in zip(y, srows)) for j in range(len(rows[0][0]))])
+            for y in ys]
+
+
+@functools.lru_cache(maxsize=4096)
+def _left_nullspace(rows: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    return linalg.int_nullspace(list(zip(*rows)), len(rows))
 
 
 def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
@@ -1149,59 +1173,62 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
     the same pairs: linear hulls must span when D(σ,Δ) >= 0 and affine hulls
     must be disjoint when D(σ,Δ) < 0.
 
-    The faces of the canonical cells are computed once.  A face of a
-    translate is a canonical face Δ shifted by λ, identified by its Λ-orbit
-    and shift (`_face_orbits`), and the pair (σ, Δ + λ) is checked as
-    (σ - λ, Δ).  The criterion is set up once per (σ, orbit)
-    (`_criterion_forms`), after which a translate costs one integer dot per
-    form.  In 2-D the intersection is Δ's ring (a point, a segment or a
-    polygon) clipped by σ - λ on integers; otherwise it is `vertices_of_hrep`
-    on the translated face Δ + λ, which is also what each row holds.
+    The faces of the canonical cells are computed once, and the rest runs on
+    integers over one common denominator (`_face_orbits`).  A face of a
+    translate is its Λ-orbit's base Δ shifted by λ, and the pair (σ, Δ + λ)
+    is checked as (σ - λ, Δ).  The criterion is set up once per (σ, orbit)
+    (`_criterion_forms`), after which a face costs one integer dot per form.
+    A face whose bbox misses σ's does not meet it; otherwise, in 2-D the
+    intersection is Δ's ring (a point, a segment or a polygon) clipped by
+    σ - λ, and in higher dimension `vertices_of_hrep` on Δ + λ.  Each row
+    holds Δ + λ, built once per orbit and shift (`_translator`).
     """
-    c = d.cocycle
-    n = c.n
+    n = d.cocycle.n
     sigmas = _closure_under_faces(tuple(sigma))
-    rows: list[TransversalityRow] = []
-    orbit_faces, bases = _face_orbits(d)
-    rings = [[homogeneous(v) for v in _ring2d(ff)] for ff, _ in bases] if n == 2 else None
-    cells: dict[tuple, Polytope] = {}
-    lo = tuple(min(col) for col in zip(*(s.bbox()[0] for s in sigmas)))
-    hi = tuple(max(col) for col in zip(*(s.bbox()[1] for s in sigmas)))
-    near = _shifts_meeting(d, lo, hi) if sigmas else []
-
+    den, lams, pts, cells, bases = _face_orbits(d, [v for s in sigmas for v in s.vertices])
+    movers = [_translator(ff, verts, den) for ff, verts, _ in bases]
+    feqs = [[_int_halfspace(a, cc, 1) for a, cc in ff.equations] for ff, _, _ in bases]
+    rings = [[tuple(x // math.gcd(*verts[i], den) for x in (*verts[i], den)) for i in _ccw(verts)]
+             for _, verts, _ in bases] if n == 2 else None
+    near = []       # (bbox, shift, faces) of each cell translate over Σ's box
+    if sigmas:
+        lo = tuple(min(col) for col in zip(*(s.bbox()[0] for s in sigmas)))
+        hi = tuple(max(col) for col in zip(*(s.bbox()[1] for s in sigmas)))
+        for ci, k in _shifts_meeting(d, lo, hi):
+            (clo, chi), fs = cells[ci]
+            t = [sum(ki * lam[j] for ki, lam in zip(k, lams)) for j in range(n)]
+            near.append((vadd(clo, t), vadd(chi, t), t, fs))
+    rows, shifted, pts = [], {}, iter(pts)
     for s in sigmas:
-        moves = [[dot(a, lam) for a, _ in s.equations] for lam in c.periods]
-        planes = []     # σ - λ_μ = {a0·x + a1·y <= C - <T, μ>} on integers
-        for a, cc in s.halfspaces if n == 2 else ():
-            t = [dot(a, lam) for lam in c.periods]
-            den = linalg.common_denominator([*a, cc, *t])
-            planes.append((*(_scaled_int(x, den) for x in a), _scaled_int(cc, den),
-                           [_scaled_int(x, den) for x in t]))
-        criteria: dict[int, list] = {}
-        seen: set[tuple] = set()
-        for ci, k, _, box in near:
-            if not boxes_meet(*box, *s.bbox()):
+        slo, shi = _int_box([next(pts) for _ in s.vertices])
+        srows = [_int_halfspace(a, cc, 1) for a, cc in s.equations]
+        planes = [(den * a[0], den * a[1], den * cc, a) for a, cc in
+                  (_int_halfspace(*h, 1) for h in s.halfspaces)] if n == 2 else []
+        criteria, seen = {}, set()
+        for clo, chi, shift, fs in near:
+            if not boxes_meet(clo, chi, slo, shi):
                 continue
-            for orbit, k0 in orbit_faces[ci]:
-                key = (orbit, tuple(a + b for a, b in zip(k0, k)))
-                if key in seen:
+            back_lo, back_hi = vsub(slo, shift), vsub(shi, shift)    # σ's box, moved by -shift
+            for orbit, (flo, fhi), off in fs:
+                t = vadd(shift, off)
+                if (orbit, t) in seen:
                     continue
-                seen.add(key)
-                ff, base_k0 = bases[orbit]
-                mu = tuple(a - b for a, b in zip(key[1], base_k0))
-                cell = cells.get(key) or cells.setdefault(key, ff.translate(c.lattice_vector(mu)))
+                seen.add((orbit, t))
+                ff = bases[orbit][0]
+                cell = shifted.get((orbit, t)) or shifted.setdefault((orbit, t), movers[orbit](t))
                 expected = s.dim + ff.dim - n
-                if n == 2:
+                if not boxes_meet(flo, fhi, back_lo, back_hi):
+                    idim = -1
+                elif n == 2:        # σ - t/den = {den·a·x <= den·c - a·t}
                     idim = _ring_dim(clip_homogeneous(rings[orbit], [
-                        (a0, a1, cc - sum(x * m for x, m in zip(t, mu)))
-                        for a0, a1, cc, t in planes]))
+                        (a0, a1, cc - a[0] * t[0] - a[1] * t[1]) for a0, a1, cc, a in planes]))
                 else:
                     idim = _dim_of_points(_cap_vertices(s, cell))
                 if orbit not in criteria:
-                    criteria[orbit] = _criterion_forms(s, ff, n, moves)
-                crit_ok = any(b != sum(x * m for x, m in zip(t, mu)) for b, t in criteria[orbit])
-                rows.append(TransversalityRow(s, cell, idim, expected,
-                                              idim in (-1, expected), crit_ok))
+                    criteria[orbit] = _criterion_forms(srows, feqs[orbit], den, expected)
+                crit_ok = any(b != sum(x * y for x, y in zip(w, t)) for b, w in criteria[orbit])
+                rows.append(TransversalityRow(s, cell, idim, expected, idim in (-1, expected),
+                                              crit_ok))
     violations = tuple((r.sigma, r.cell, r.intersection_dim, r.expected)
                        for r in rows if not r.definition_ok)
     return TransversalityReport(not violations, violations, tuple(rows),

@@ -100,14 +100,6 @@ def _canon_ineq(a: Sequence[Fraction], c: Fraction) -> Halfspace:
     return tuple(Fraction(v) for v in ints), Fraction(ci)
 
 
-def _canon_eq(a: Sequence[Fraction], c: Fraction) -> Halfspace:
-    a2, c2 = _canon_ineq(a, c)
-    lead = next((x for x in a2 if x != 0), Fraction(1))
-    if lead < 0:
-        a2, c2 = tuple(-x for x in a2), -c2
-    return a2, c2
-
-
 class Polytope:
     """A bounded rational polytope with exact V- and H-representations."""
 
@@ -127,14 +119,17 @@ class Polytope:
         if _validate:
             self._check_consistency()
 
-    def _check_consistency(self):
+    def _check_consistency(self, rows=None):
         """Every vertex satisfies every equation and inequality, and each
         inequality is tight on at least dim vertices; on integers: the
         vertices are scaled once to a common denominator, each halfspace once
-        to an integer row."""
-        den, verts = _integer_points(self.vertices)
-        eqs = [_int_halfspace(a, c, den) for a, c in self.equations]
-        ineqs = [_int_halfspace(a, c, den) for a, c in self.inequalities]
+        to an integer row.  `rows` passes (vertices, equations, inequalities)
+        in, already scaled, where the caller has them (`faces`)."""
+        if rows is None:
+            den, verts = _integer_points(self.vertices)
+            rows = (verts, [_int_halfspace(a, c, den) for a, c in self.equations],
+                    [_int_halfspace(a, c, den) for a, c in self.inequalities])
+        verts, eqs, ineqs = rows
         for v in verts:
             for a, c in eqs:
                 if sum(x * y for x, y in zip(a, v)) != c:
@@ -198,32 +193,7 @@ class Polytope:
 
     def _face_vertex_sets(self) -> dict[frozenset, int]:
         """All nonempty faces as vertex-index sets, mapped to their dimension."""
-        idx_all = frozenset(range(len(self.vertices)))
-        den, verts = _integer_points(self.vertices)
-        facets = []
-        for a, c in self.inequalities:
-            a, c = _int_halfspace(a, c, den)
-            tight = frozenset(i for i, v in enumerate(verts)
-                              if sum(x * y for x, y in zip(a, v)) == c)
-            if tight and tight != idx_all:
-                facets.append(tight)
-        found = {idx_all}
-        frontier = {idx_all}
-        while frontier:
-            nxt = set()
-            for fset in frontier:
-                for ft in facets:
-                    cap = fset & ft
-                    if cap and cap not in found:
-                        found.add(cap)
-                        nxt.add(cap)
-            frontier = nxt
-        dims = {}
-        for fset in found:
-            first, *rest = (verts[i] for i in fset)
-            dims[fset] = len(linalg._eliminate(
-                [[x - y for x, y in zip(v, first)] for v in rest], full=False)) if rest else 0
-        return dims
+        return {frozenset(idx): face.dim for idx, face in _faces(self)}
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.vertices == other.vertices
@@ -235,27 +205,6 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, ambient={self.ambient_dim})"
 
 
-def _dedupe_points(points: list[Vec]) -> list[Vec]:
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
-def _hull_basis(diffs: list[Vec]) -> list[Vec]:
-    basis: list[Vec] = []
-    r = 0
-    for d in diffs:
-        cand = basis + [d]
-        if linalg.rank(cand) > r:
-            basis = cand
-            r += 1
-    return basis
-
-
 def hull(points: Iterable[Sequence]) -> Polytope:
     """Convex hull of rational points, with irredundant V-rep and exact H-rep.
 
@@ -263,32 +212,28 @@ def hull(points: Iterable[Sequence]) -> Polytope:
     (`_facets`), and a point is a vertex when the facets through it meet in
     that point alone.
     """
-    pts = _dedupe_points([vec(p) for p in points])
+    pts = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
         raise ValueError("hull of an empty point set")
     n = len(pts[0])
     base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    basis = _hull_basis(diffs)
-    d = len(basis)
-
-    eqs: list[Halfspace] = []
-    for w in linalg.nullspace(basis, n) if basis else \
-            [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]:
-        eqs.append(_canon_eq(w, dot(w, base)))
-    eqs.sort()
-
+    den, ints = _integer_points(pts)
+    eqs = tuple((tuple(map(Fraction, a)), Fraction(c)) for a, c in _equations(ints, den, n))
+    d = n - len(eqs)
     if d == 0:
-        return Polytope(n, (base,), tuple(eqs), (), 0, _validate=False)
+        return Polytope(n, (base,), eqs, (), 0, _validate=False)
 
+    # a basis of the hull's directions: the echelon rows of the differences
+    diffs = [[x - y for x, y in zip(p, ints[0])] for p in ints[1:]]
+    linalg._eliminate(diffs, full=False)
+    basis = tuple(tuple(map(Fraction, row)) for row in diffs[:d])
     cols = linalg.transpose(basis)
     den, coords = _integer_points([linalg.solve(cols, vsub(p, base)) for p in pts])
-    basis_t = tuple(basis)
     facets = []
     for a, c, on in _facets(coords, d):
-        u = linalg.solve(basis_t, a)  # rows are basis vectors: <u, basis_i> = a_i
+        u = linalg.solve(basis, a)  # rows are basis vectors: <u, basis_i> = a_i
         facets.append((_canon_ineq(u, dot(u, base) + Fraction(c, den)), on))
-    return from_incidence(pts, facets, tuple(eqs), d)
+    return from_incidence(pts, facets, eqs, d)
 
 
 def from_incidence(pts: Sequence[Vec], supports: Sequence[tuple[Halfspace, frozenset]],
@@ -314,7 +259,11 @@ def vertices_of_hrep(equations: Sequence[Halfspace],
                      inequalities: Sequence[Halfspace], n: int) -> list[Vec]:
     """All vertices of a bounded {x : eqs hold, ineqs hold}; [] if infeasible.
 
-    Raises if the region is unbounded (callers always pass bounded systems).
+    In coordinates of the equations' solution space, each basis of f
+    inequalities is solved by Cramer's rule on integers,
+    y = (det of the rows with column j replaced by the right-hand side) / det,
+    and kept when it satisfies every inequality.  Callers pass bounded
+    systems; on an unbounded one only the vertices are returned.
     """
     if equations:
         a_rows = [a for a, _ in equations]
@@ -338,38 +287,17 @@ def vertices_of_hrep(equations: Sequence[Halfspace],
             continue
         red.append((ar, cr))
 
-    if f == 0:
-        return [x0]
-
-    if f == 1:
-        lo, hi = None, None
-        for (a,), c in red:
-            bound = c / a
-            if a > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None or hi is None:
-            raise ValueError("unbounded halfspace system")
-        if lo > hi:
-            return []
-        ys = [(lo,), (hi,)] if lo != hi else [(lo,)]
-    else:
-        # each basis of f inequalities is solved by Cramer's rule on integers:
-        # y = (det of the rows with column j replaced by the right-hand side) / det
-        ints = [_int_halfspace(a, c, 1) for a, c in red]
-        found = set()
-        for combo in itertools.combinations(ints, f):
-            rows = [a for a, _ in combo]
-            d = _int_det(rows)
-            if not d:
-                continue
-            nums = [_int_det([a[:j] + (c,) + a[j + 1:] for a, c in combo]) for j in range(f)]
-            if d < 0:
-                d, nums = -d, [-x for x in nums]
-            if all(sum(x * y for x, y in zip(a, nums)) <= c * d for a, c in ints):
-                found.add(tuple(Fraction(x, d) for x in nums))
-        ys = list(found)
+    ints = [_int_halfspace(a, c, 1) for a, c in red]
+    ys = set()
+    for combo in itertools.combinations(ints, f):
+        d = _int_det([a for a, _ in combo])
+        if not d:
+            continue
+        nums = [_int_det([a[:j] + (c,) + a[j + 1:] for a, c in combo]) for j in range(f)]
+        if d < 0:
+            d, nums = -d, [-x for x in nums]
+        if all(sum(x * y for x, y in zip(a, nums)) <= c * d for a, c in ints):
+            ys.add(tuple(Fraction(x, d) for x in nums))
 
     out = []
     for y in ys:
@@ -402,28 +330,79 @@ def intersect(p: Polytope, q: Polytope) -> Optional[Polytope]:
 def faces(p: Polytope) -> list[Polytope]:
     """All nonempty faces of p, including p itself, each exactly once.
 
-    Each face is read off p's own incidence, with no hull: its equations are
-    those `hull` gives its affine hull, and its facets are its maximal proper
-    meets with the facets of p, each with the first inequality of p that cuts
-    it out.
+    Each face is read off p's own incidence, with no hull, on integers: p's
+    vertices are scaled once to a common denominator and its inequalities to
+    integer rows.  A face's equations are those `hull` gives its affine hull
+    (`_equations`), and its facets are its maximal proper meets with the
+    facets of p, each with the first inequality of p that cuts it out.  Each
+    face is checked on the same integer rows.
     """
-    tight = [(ineq, frozenset(i for i, v in enumerate(p.vertices) if dot(ineq[0], v) == ineq[1]))
-             for ineq in p.inequalities]
+    return [face for _, face in _faces(p)]
+
+
+def _equations(pts: Sequence[tuple[int, ...]], den: int, n: int
+               ) -> list[tuple[tuple[int, ...], int]]:
+    """The equations of the affine hull of the points pts/den in R^n, sorted,
+    as `hull` gives them, on integers: per vector w of the integer nullspace
+    of the differences, (den·w, w·pts[0]) made primitive with its first
+    nonzero entry positive."""
+    first = pts[0]
+    eqs = []
+    for w in linalg.int_nullspace([[x - y for x, y in zip(p, first)] for p in pts[1:]], n):
+        a = [den * x for x in w]
+        c = sum(x * y for x, y in zip(w, first))
+        g = math.gcd(c, *a) * (-1 if next(x for x in a if x) < 0 else 1)
+        eqs.append((tuple(x // g for x in a), c // g))
+    return sorted(eqs)
+
+
+def _faces(p: Polytope) -> list[tuple[list[int], Polytope]]:
+    """`faces` with the indices in p.vertices of each face's vertices."""
+    n = p.ambient_dim
+    den, verts = _integer_points(p.vertices)
+    rows = [_int_halfspace(a, c, den) for a, c in p.inequalities]
+    tight, found = _face_lattice(verts, rows)
     out = []
-    for fset, d in sorted(p._face_vertex_sets().items(),
-                          key=lambda item: (len(item[0]), sorted(item[0]))):
-        verts = tuple(sorted(p.vertices[i] for i in fset))
-        diffs = [vsub(v, verts[0]) for v in verts[1:]]
-        eqs = tuple(sorted(_canon_eq(w, dot(w, verts[0]))
-                           for w in linalg.nullspace(diffs, p.ambient_dim)))
+    for fset in sorted(found, key=lambda s: (len(s), sorted(s))):
+        idx = sorted(fset, key=verts.__getitem__)
+        eqs = _equations([verts[i] for i in idx], den, n)
         meets = {}
-        for ineq, on in tight:
+        for j, on in enumerate(tight):
             cap = fset & on
             if cap and cap != fset:
-                meets.setdefault(cap, ineq)
-        ineqs = {ineq for cap, ineq in meets.items() if not any(cap < other for other in meets)}
-        out.append(Polytope(p.ambient_dim, verts, eqs, tuple(sorted(ineqs)), d))
+                meets.setdefault(cap, j)
+        cut = sorted((j for cap, j in meets.items() if not any(cap < other for other in meets)),
+                     key=p.inequalities.__getitem__)
+        face = Polytope(n, tuple(p.vertices[i] for i in idx),
+                        tuple((tuple(map(Fraction, a)), Fraction(c)) for a, c in eqs),
+                        tuple(p.inequalities[j] for j in cut), n - len(eqs), _validate=False)
+        face._check_consistency(([verts[i] for i in idx], [(a, c * den) for a, c in eqs],
+                                 [rows[j] for j in cut]))
+        out.append((idx, face))
     return out
+
+
+def _face_lattice(verts: Sequence[tuple[int, ...]], rows: Sequence[tuple[tuple[int, ...], int]]
+                  ) -> tuple[list[frozenset], set[frozenset]]:
+    """(tight, found) for integer points and inequality rows: tight[j] holds
+    the points on row j, and found the point sets of all nonempty faces,
+    which are the meets of the proper tight sets, with the whole set."""
+    every = frozenset(range(len(verts)))
+    tight = [frozenset(i for i, v in enumerate(verts) if sum(x * y for x, y in zip(a, v)) == c)
+             for a, c in rows]
+    facets = [t for t in tight if t and t != every]
+    found = {every}
+    frontier = {every}
+    while frontier:
+        nxt = set()
+        for fset in frontier:
+            for ft in facets:
+                cap = fset & ft
+                if cap and cap not in found:
+                    found.add(cap)
+                    nxt.add(cap)
+        frontier = nxt
+    return tight, found
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -621,9 +600,3 @@ def clip_polygon(poly: list[Vec], halfplanes: Sequence[Halfspace]) -> list[Vec]:
                            c.numerator * (den // c.denominator)))
     ring = clip_homogeneous([homogeneous(p) for p in poly], int_planes)
     return [(Fraction(x, w), Fraction(y, w)) for x, y, w in ring]
-
-
-def box_polytope(lo: Sequence[Fraction], hi: Sequence[Fraction]) -> Polytope:
-    corners = [tuple(pair[i] for pair, i in zip(zip(lo, hi), bits))
-               for bits in itertools.product((0, 1), repeat=len(lo))]
-    return hull(corners)

@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import linalg
 from .cocycle import Cocycle
 from .linalg import Mat, Vec, dot, vec
-from .ma import Atom, Measure, ma_quadratic_restricted, pushforward
 from .plfunc import (AffinePiece, CertificateError, PeriodicPLFunction, _certified_cell,
                      _dim_of_points, _translates_meeting, linearity_cells)
 from .polyhedra import AffineLatticeFrame, Polytope, hull, volume
 from .value import Value, setfield
+
+if TYPE_CHECKING:       # `degree` runs none of `ma`, so the measures import it where used
+    from .ma import Measure
 
 Metric = Union[str, PeriodicPLFunction]
 
@@ -216,6 +218,7 @@ def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Meas
     carrier; a PL metric gives atoms at the pullback complex's vertices inside
     the relative interior.  Degenerate faces give the zero measure.
     """
+    from .ma import Atom, Measure, ma_quadratic_restricted
     if not check_nondegenerate(spec, face):
         return Measure()
     scale = _scale(spec, face)
@@ -240,6 +243,7 @@ def face_measures(spec: SkeletonSpec, metric: Metric) -> list[tuple[SkeletonFace
 
 def assemble_measure(spec: SkeletonSpec, metric: Metric) -> Measure:
     """Sum of the face measures; relative interiors partition the skeleton."""
+    from .ma import Measure
     out = Measure()
     for _, mu in face_measures(spec, metric):
         out = out + mu
@@ -336,6 +340,7 @@ def canonical_subset(spec: SkeletonSpec) -> tuple[list[str], Measure]:
     is finite-to-one at the data level.  Gluing maps that disagree at carrier
     vertices raise.
     """
+    from .ma import Measure, pushforward
     nd = [f for f in spec.faces if check_nondegenerate(spec, f)]
     nd_ids = [f.id for f in sorted(nd, key=lambda f: f.id)]
 
@@ -361,6 +366,7 @@ def _merge_overlaps(mu: Measure) -> Measure:
     """Sum masses of atoms at identical points and densities on identical
     supports; piece densities are re-expressed in the support's own saturated
     frame (an exact, mass-preserving conversion) so identified carriers merge."""
+    from .ma import Atom, LebesguePiece, Measure
     from .polyhedra import lattice_volume
     atom_acc: dict[Vec, Fraction] = {}
     for a in mu.atoms:
@@ -377,7 +383,6 @@ def _merge_overlaps(mu: Measure) -> Measure:
             piece_acc[key] = (p.support, canon_frame, density)
         else:
             piece_acc[key] = (prev[0], prev[1], prev[2] + density)
-    from .ma import LebesguePiece
     return Measure(tuple(Atom(at, m) for at, m in sorted(atom_acc.items())),
                    tuple(LebesguePiece(s, fr, d) for s, fr, d in
                          (piece_acc[k] for k in sorted(piece_acc))))

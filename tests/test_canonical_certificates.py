@@ -3,15 +3,15 @@
 `approx._sup_diff` reads the sup error off the canonical cell vertices of the
 two functions; the common refinement it replaced (every pair of cell
 translates over a fundamental box, intersected) is kept here as the
-reference.  `plfunc.check_transversal` works on canonical faces and shifts σ;
-the reference rebuilds the faces of every translate, shifted, and tests each
-pair with the Fraction criterion on saturated frames.  The cell walk builds
+reference.  `plfunc.check_transversal` works on canonical faces and shifts σ, on
+integers; the reference rebuilds the faces of every translate, shifted, and
+tests each pair with the Fraction criterion on saturated frames, in the order
+the check gives its rows.  The cell walk builds
 each cell from its certificate's incidence (`plfunc._cell_from_ties`), which
 must equal `hull` of the certified points field by field.
 """
 
 import random
-from collections import Counter
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_strict_skip import polarized_cocycles
 
-from tropma import PeriodicPLFunction, linearity_cells, tangent_pl
+from tropma import Cocycle, PeriodicPLFunction, linearity_cells, tangent_pl
 from tropma import linalg
 from tropma.approx import _max_above, _sup_diff
 from tropma.plfunc import (AffinePiece, _cell_from_ties, _certified_cell,
@@ -27,7 +27,7 @@ from tropma.plfunc import (AffinePiece, _cell_from_ties, _certified_cell,
                            _fundamental_bbox, _ring2d, _shifts_meeting,
                            _translates_meeting, check_transversal, evaluate,
                            translate_piece)
-from tropma.polyhedra import (Polytope, _canon_eq, clip_polygon, hull, intersect,
+from tropma.polyhedra import (Polytope, _canon_ineq, clip_polygon, hull, intersect,
                               vertices_of_hrep)
 
 SLOW = settings(max_examples=6, deadline=None, derandomize=True, database=None,
@@ -63,11 +63,18 @@ def reference_sup_diff(fa, fb):
     return best
 
 
+def _canon_eq(a, c):
+    a2, c2 = _canon_ineq(a, c)
+    lead = next((x for x in a2 if x != 0), F(1))
+    return (tuple(-x for x in a2), -c2) if lead < 0 else (a2, c2)
+
+
 def reference_faces(p):
     """Every face of p: p's equations plus its tight inequalities, canonical,
-    and every other inequality of p."""
+    and every other inequality of p; in the order of `faces`."""
     out = []
-    for fset, d in p._face_vertex_sets().items():
+    for fset, d in sorted(p._face_vertex_sets().items(),
+                          key=lambda item: (len(item[0]), sorted(item[0]))):
         if len(fset) == len(p.vertices):
             out.append(p)
             continue
@@ -113,9 +120,9 @@ def reference_rows(d, sigma):
     rows, violations = [], []
     for s in _closure_under_faces(tuple(sigma)):
         seen = set()
-        for ci, k, lam, _ in _shifts_meeting(d, *s.bbox()):
+        for ci, k in _shifts_meeting(d, *s.bbox()):
             for ff in reference_faces(d.cells[ci]):
-                ff = reference_shift(ff, lam)
+                ff = reference_shift(ff, d.cocycle.lattice_vector(k))
                 if ff.vertices in seen:
                     continue
                 seen.add(ff.vertices)
@@ -210,13 +217,31 @@ def test_transversality_rows_match_the_translate_check(c, k, seed):
         sigmas = [random_sigma(rng, *span) for _ in range(3)]
         sigmas.append([hull([(0, 0), (1, 0), (0, 1)])])
         for sigma in sigmas:
-            report = check_transversal(d, sigma)
-            rows, violations = report_rows(report)
-            want_rows, want_violations = reference_rows(d, sigma)
-            assert Counter(rows) == Counter(want_rows)
-            assert Counter(violations) == Counter(want_violations)
-            assert report.ok == all(r[4] for r in want_rows)
-            assert report.criterion_ok == all(r[5] for r in want_rows)
+            assert_rows_match(d, sigma)
+
+
+def assert_rows_match(d, sigma):
+    """Rows, violations, `ok` and `criterion_ok` equal the reference's, rows
+    and violations in the same order."""
+    report = check_transversal(d, sigma)
+    rows, violations = report_rows(report)
+    want_rows, want_violations = reference_rows(d, sigma)
+    assert rows == want_rows
+    assert violations == want_violations
+    assert report.ok == all(r[4] for r in want_rows)
+    assert report.criterion_ok == all(r[5] for r in want_rows)
+
+
+def test_transversality_rows_match_the_translate_check_in_3d():
+    # id3 at mesh 1, one cube cell, against a small Σ: a tetrahedron with its
+    # faces, a skew triangle, and two points
+    c = Cocycle.make(*([[1, 0, 0], [0, 1, 0], [0, 0, 1]],) * 2, [F(1, 2)] * 3)
+    d = linearity_cells(tangent_pl(c, 1))[0]
+    for sigma in ([hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])],
+                  [hull([(F(1, 3), F(-1, 2), F(1, 5)), (F(3, 2), F(1, 2), 0),
+                         (0, F(5, 4), F(2, 3))])],
+                  [hull([(F(1, 2), F(1, 2), F(1, 2))]), hull([(F(1, 4), 0, F(-1, 2))])]):
+        assert_rows_match(d, sigma)
 
 
 def test_row_cells_are_translated_faces(two_tate):
@@ -224,8 +249,9 @@ def test_row_cells_are_translated_faces(two_tate):
     # its affine hull
     d = linearity_cells(perturbed(tangent_pl(two_tate, 2), 3))[0]
     report = check_transversal(d, [hull([(F(1, 3), F(-1, 2)), (F(5, 2), F(7, 3))])])
-    faces = {ff.vertices: ff.dim for ci, k, lam, _ in _shifts_meeting(d, (-3, -3), (4, 4))
-             for ff in (reference_shift(g, lam) for g in reference_faces(d.cells[ci]))}
+    faces = {ff.vertices: ff.dim for ci, k in _shifts_meeting(d, (-3, -3), (4, 4))
+             for ff in (reference_shift(g, d.cocycle.lattice_vector(k))
+                        for g in reference_faces(d.cells[ci]))}
     assert report.rows
     for row in report.rows:
         cell = row.cell

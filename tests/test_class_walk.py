@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_strict_skip import polarized_cocycles
 
 import tropma.plfunc as pl
-from tropma import PeriodicPLFunction, jsonio, tangent_pl
+from tropma import Cocycle, PeriodicPLFunction, jsonio, tangent_pl
 from tropma.linalg import dot
 from tropma.plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, _CollarTooSmall,
                            _EnvelopeScan, _certified_cell, _default_collar, _fundamental_bbox,
@@ -163,3 +163,30 @@ def test_a_function_read_from_json_gets_the_same_seeds(two_tate):
     for ei in range(len(sf.entries)):
         seeds = _nearest_indices(sg, ei, 32)
         assert seeds and seeds == _nearest_indices(sf, ei, 32)
+
+
+def test_first_collar_restarts(monkeypatch):
+    # the first collar is two cell widths: no 2-D tangent mesh restarts its
+    # walk, nor id3, and skew3 restarts once at mesh 2, as with three widths
+    restarts = []
+    original = pl._walk_cells
+
+    def counting(*args):
+        try:
+            return original(*args)
+        except _CollarTooSmall:
+            restarts.append(1)
+            raise
+
+    monkeypatch.setattr(pl, "_walk_cells", counting)
+    i2, i3 = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cases = [(Cocycle.make(i2, i2, [F(1, 2)] * 2), (1, 2, 3), (0, 0, 0)),
+             (Cocycle.make(i2, [[2, 1], [1, 2]], [1, 1]), (1, 2, 3), (0, 0, 0)),
+             (Cocycle.make(i3, i3, [F(1, 2)] * 3), (1, 2), (0, 0)),
+             (Cocycle.make(i3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [1, 1, 1]), (1, 2), (0, 1))]
+    for c, ks, most in cases:
+        for k, bound in zip(ks, most):
+            restarts.clear()
+            decomp = linearity_cells(tangent_pl(c, k))[0]
+            assert len(decomp.cells) == k ** c.n
+            assert len(restarts) <= bound

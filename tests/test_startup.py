@@ -48,7 +48,7 @@ CASES = {
     "mass-check": (["mass-check", "--in", "skeleton.json", "--metric", "canonical",
                     "--metric", "metric.json"], NOT_FOR_MEASURES),
     "degree": (["degree", "--in", "skeleton.json", "--metric", "metric.json"],
-               NOT_FOR_MEASURES),
+               NOT_FOR_MEASURES | {"ma"}),
     "validate": (["validate", "--in", "cocycle.json"], {"approx", "ma", "skeleton", "svgplot"}),
 }
 
