@@ -59,10 +59,6 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def matvec(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, x) for row in m)
 
@@ -74,10 +70,6 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
 def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
     bt = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:

@@ -21,9 +21,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import linalg
 from .cocycle import Cocycle
-from .linalg import Mat, Vec, dot, vec
-from .plfunc import (AffinePiece, CertificateError, PeriodicPLFunction, _certified_cell,
-                     _dim_of_points, _translates_meeting, linearity_cells)
+from .linalg import Mat, Vec, dot, vec, vsub
+from .plfunc import AffinePiece, PeriodicPLFunction, _certified_cell
 from .polyhedra import AffineLatticeFrame, Polytope, hull, volume
 from .value import Value, setfield
 
@@ -253,45 +252,30 @@ def assemble_measure(spec: SkeletonSpec, metric: Metric) -> Measure:
 def face_degrees(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunction
                  ) -> list[tuple[Vec, Fraction]]:
     """(vertex, degree) at every pullback vertex in the face's relative
-    interior, with the pullback and the metric's cell translates over the
-    face's image box looked up once for the whole face."""
+    interior, with the pullback built once for the whole face."""
     pieces = _pullback_pieces(spec.cocycle, metric, face)
-    translates = [t for _, _, t in
-                  _translates_meeting(linearity_cells(metric)[0], *_image_box(face))]
-    out = []
-    for y, _vol in _pullback_atoms(face, pieces):
-        xi = face.frame.embed(y)
-        out.append((xi, vertex_degree(spec, face, metric, xi, pieces, translates)))
-    return out
+    return [(xi, vertex_degree(spec, face, metric, xi, pieces))
+            for xi in (face.frame.embed(y) for y, _ in _pullback_atoms(face, pieces))]
 
 
 def skeleton_degrees(spec: SkeletonSpec, metric: PeriodicPLFunction
                      ) -> list[tuple[SkeletonFace, Vec, Fraction]]:
-    """(face, vertex, degree) over the nondegenerate faces in id order.
-
-    The metric's cells are walked before any pullback is taken, so the
-    pullbacks read the walk's scan whenever it covers the faces' image boxes.
-    """
+    """(face, vertex, degree) over the nondegenerate faces in id order."""
     faces = [f for f in sorted(spec.faces, key=lambda f: f.id) if check_nondegenerate(spec, f)]
-    if not faces:
-        return []
-    linearity_cells(metric)
     _scan_faces(spec, metric)
     return [(face, xi, deg) for face in faces for xi, deg in face_degrees(spec, face, metric)]
 
 
 def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
                   metric: PeriodicPLFunction, xi: Sequence,
-                  pieces: Optional[Sequence[AffinePiece]] = None,
-                  translates: Optional[Sequence[Polytope]] = None) -> Fraction:
+                  pieces: Optional[Sequence[AffinePiece]] = None) -> Fraction:
     """Degree of the component at a pullback vertex, (d!/e!)·deg_H·atom mass.
 
     The atom mass is the volume of the hull of the pullback's argmax slopes
-    at xi (`polyhedra.volume`), as in `_pullback_atoms`.  Requires the vertex
-    to be transversal: the metric complex's face whose relative interior
-    contains f_aff(xi) must have codimension dim(carrier).
-    `pieces` are the face's pullback pieces and `translates` cell translates
-    of the metric covering f_aff(xi); both are built here when not given.
+    at xi, as in `_pullback_atoms`.  The vertex must be transversal: the face
+    of the metric's complex through f_aff(xi) has codimension dim(carrier),
+    read off the tie rank there (`_tie_face_dim`) with no cell walk.
+    `pieces` are the face's pullback pieces, built here when not given.
     """
     xi = vec(xi)
     if not face.carrier.contains_relint(xi):
@@ -306,29 +290,18 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
     if not vol:
         raise ValueError("xi is not a vertex of the pullback complex")
 
-    x = face.f_aff(y)
-    sigma_dim = _complex_face_dim_at(metric, x, translates)
-    n = spec.cocycle.n
-    if face.carrier.dim != n - sigma_dim:
+    if metric.n - _tie_face_dim(metric, face.f_aff(y)) != face.carrier.dim:
         raise ValueError("non-transversal vertex")
     return _scale(spec, face) * vol
 
 
-def _complex_face_dim_at(metric: PeriodicPLFunction, x: Vec,
-                         translates: Optional[Sequence[Polytope]] = None) -> int:
-    """Dimension of the decomposition face whose relint contains x, read off
-    the first of `translates` (the cell translates meeting x by default)
-    that contains x."""
-    if translates is None:
-        translates = [t for _, _, t in _translates_meeting(linearity_cells(metric)[0], x, x)]
-    for t in translates:
-        if not t.contains(x):
-            continue
-        tight = [(a, c) for a, c in t.inequalities if dot(a, x) == c]
-        gen = [v for v in t.vertices
-               if all(dot(a, v) == c for a, c in tight)]
-        return _dim_of_points(gen)
-    raise CertificateError("point not covered by the decomposition")
+def _tie_face_dim(metric: PeriodicPLFunction, x: Vec) -> int:
+    """Dimension of the face of the metric's complex whose relative interior
+    contains x.  Near x only the translates S attaining the metric compete, so
+    that face is where all of S tie: n − rank{m_j − m_i}, S from the scan."""
+    scan = metric.scan_for(x, x)
+    ms = [scan.entries[i].piece.m for i in scan.eval(x)[1]]
+    return metric.n - linalg.rank([vsub(m, ms[0]) for m in ms[1:]])
 
 
 def canonical_subset(spec: SkeletonSpec) -> tuple[list[str], Measure]:

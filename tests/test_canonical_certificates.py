@@ -15,7 +15,7 @@ import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from test_strict_skip import polarized_cocycles
 
@@ -30,7 +30,10 @@ from tropma.plfunc import (AffinePiece, _cell_from_ties, _certified_cell,
 from tropma.polyhedra import (Polytope, _canon_ineq, clip_polygon, hull, intersect,
                               vertices_of_hrep)
 
+# Every example still runs and is checked; only a failure's report goes
+# unshrunk, since shrinking these examples takes minutes.
 SLOW = settings(max_examples=6, deadline=None, derandomize=True, database=None,
+                phases=(Phase.explicit, Phase.generate),
                 suppress_health_check=[HealthCheck.too_slow])
 
 

@@ -663,27 +663,6 @@ class TestMalformedFlags:
         assert capsys.readouterr().out.startswith("usage: tropma ma")
 
 
-def test_uncovered_point_in_degree_is_exit_two(tmp_path, capsys, monkeypatch, two_tate):
-    # a cell dropped from the walk leaves the pullback vertices uncovered
-    import tropma.plfunc as pl
-
-    original = pl._walk_cells
-
-    def drops_a_cell(*args):
-        decomp, pieces, strict = original(*args)
-        return pl.PeriodicDecomposition(decomp.cocycle, decomp.cells[1:]), pieces, strict
-
-    monkeypatch.setattr(pl, "_walk_cells", drops_a_cell)
-    spec_p = tmp_path / "spec.json"
-    spec_p.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
-    fp = tmp_path / "f.json"
-    fp.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 1))))
-    assert cli.main(["degree", "--in", str(spec_p), "--metric", str(fp)]) == 2
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err == {"kind": "algorithmic",
-                   "message": "point not covered by the decomposition"}
-
-
 def test_ma_fundamental_checks_its_total_mass(two_tate_json, capsys, monkeypatch):
     # Σ masses = det(b)·covol(Λ) over a fundamental domain; losing one atom
     # is a certificate failure, not an artifact
@@ -704,29 +683,30 @@ def test_ma_fundamental_checks_its_total_mass(two_tate_json, capsys, monkeypatch
     assert err["kind"] == "algorithmic" and "det(b)" in err["message"]
 
 
-def test_degree_looks_up_translates_once_per_face(tmp_path, capsys, monkeypatch, two_tate):
+def test_degree_walks_no_cells(tmp_path, capsys, monkeypatch, two_tate):
+    # transversality is read off the tie rank at each vertex, so neither the
+    # command nor vertex_degree on its own walks the metric's cells
+    import tropma.plfunc as pl
     import tropma.skeleton as sk
-    from tropma import jsonio as jio
 
-    calls = []
-    original = sk._translates_meeting
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(sk, "_translates_meeting", counting)
     spec_p = tmp_path / "spec.json"
     spec_p.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
-    f = tangent_pl(two_tate, 2)
     fp = tmp_path / "f.json"
-    fp.write_text(jio.dumps(jio.enc_function(f)))
-    assert cli.main(["degree", "--in", str(spec_p), "--metric", str(fp)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert len(report["degrees"]) > 1 and len(calls) == 1
-    # vertex_degree on its own looks the translates up itself
-    spec = jio.dec_skeleton(json.loads(spec_p.read_text()))
-    face = spec.faces[0]
-    for row in report["degrees"]:
+    fp.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 2))))
+    argv = ["degree", "--in", str(spec_p), "--metric", str(fp)]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def no_walk(*args):
+        raise RuntimeError("the metric's cells were walked")
+
+    monkeypatch.setattr(pl, "_walk_cells", no_walk)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    rows = json.loads(expected)["degrees"]
+    spec = jsonio.dec_skeleton(json.loads(spec_p.read_text()))
+    metric = jsonio.dec_function(json.loads(fp.read_text()))
+    assert len(rows) > 1
+    for row in rows:
         xi = tuple(F(x) for x in row["at"])
-        assert jio.enc_q(sk.vertex_degree(spec, face, f, xi)) == row["degree"]
+        assert jsonio.enc_q(sk.vertex_degree(spec, spec.faces[0], metric, xi)) == row["degree"]
