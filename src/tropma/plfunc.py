@@ -19,6 +19,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -26,9 +27,9 @@ from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Mat, Vec, dot, vadd, vec, vsub
-from .polyhedra import (Polytope, _canon_ineq, _faces, _int_det, _int_halfspace, _integer_points,
-                        boxes_meet, clip_homogeneous, clip_polygon, faces, from_incidence,
-                        homogeneous, vertices_of_hrep, volume)
+from .polyhedra import (Polytope, _canon_ineq, _cap_vertices, _faces, _int_halfspace,
+                        _integer_points, _rational, _reduced, boxes_meet, clip, faces,
+                        from_incidence, volume)
 from .value import Value, setfield
 
 
@@ -223,7 +224,7 @@ def _int_argmax(ints, w: Sequence[int], dw: int) -> tuple[int, list[int]]:
                 arg.append(i)
     else:
         for i, (mi, ci) in enumerate(ints):
-            v = sum(a * b for a, b in zip(mi, w)) + ci * dw
+            v = sum(map(operator.mul, mi, w), ci * dw)
             if best is None or v > best:
                 best, arg = v, [i]
             elif v == best:
@@ -740,11 +741,9 @@ def _pair_compatible(t1: Polytope, t2: Polytope, n: int) -> bool:
     cap = _cap_vertices(t1, t2)
     if not cap:
         return True
-    dim = _dim_of_points(cap)
-    if dim == n:
+    if _dim_of_points(cap) == n:
         return False
-    ends = [cap[0], cap[-1]] if dim == 1 else cap    # the segment's vertices
-    return _is_face_of_vs(ends, t1) and _is_face_of_vs(ends, t2)
+    return _is_face_of_vs(cap, t1) and _is_face_of_vs(cap, t2)
 
 
 def _is_face_of_vs(cap_vs: Sequence[Vec], p: Polytope) -> bool:
@@ -768,60 +767,44 @@ class _CollarTooSmall(Exception):
 
 def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
                     incidence: bool = False):
-    """Points spanning {ω in box : entry ei attains the envelope}, or None;
-    with `incidence`, (points, the argmax entry indices at each point).
+    """The vertices of {ω in box : entry ei attains the envelope}, or None when
+    it is not full-dimensional; with `incidence`, (vertices, the argmax entry
+    indices at each vertex).
 
     The constraints start from the 32 entries nearest to ei by slope
-    (`_nearest_indices`) and are grown on demand: whenever a candidate vertex
-    fails the envelope certificate, the entries beating ei there are added and
-    the cell recomputed, so the result is certified independently of the
-    seeds and of any pruning.  The returned points contain all vertices of
-    the cell (possibly with extra collinear boundary points, which may depend
-    on the constraint set); they are certified to lie on the cell.
+    (`_nearest_indices`) and are grown on demand: whenever a vertex fails the
+    envelope certificate, the entries beating ei there are added, and the
+    cell already there is clipped by their rows alone, so the result is
+    certified independently of the seeds and of any pruning.
 
-    In 2-D the certificate stays on integers: the box is clipped by the
-    halfplanes (m_j - m_i)·ω <= c_i - c_j of the scan's integerized entries
-    (`clip_homogeneous`), the ring is full-dimensional when some 3×3
-    determinant of its homogeneous points (X, Y, W) is nonzero, and the
-    argmax at a ring point is that of m·(X, Y) + c·W (`_int_argmax`).
-    Fractions are built only for the returned points.
+    The certificate stays on integers in every dimension: the box's corners,
+    tight on the box's facets, are clipped (`clip`) by the rows
+    (m_j - m_e)·ω <= c_e - c_j of the scan's integerized entries, the cell is
+    full-dimensional when its homogeneous points (X, W) have rank n + 1, and
+    the argmax at a vertex is that of m·X + c·W (`_int_argmax`).  Fractions
+    are built only for the returned vertices.
     """
     n = len(box_lo)
-    cons: set[int] = set(_nearest_indices(scan, ei, 32))
-    if n == 2:
-        ints = scan._ints
-        (mx, my), mc = ints[ei]
-        box_ring = [homogeneous(p) for p in ((box_lo[0], box_lo[1]), (box_hi[0], box_lo[1]),
-                                             (box_hi[0], box_hi[1]), (box_lo[0], box_hi[1]))]
-    else:
-        me = scan.entries[ei].piece
-        box_ineqs = []
-        for i in range(n):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(n))
-            box_ineqs.append((e, box_hi[i]))
-            box_ineqs.append((tuple(-x for x in e), -box_lo[i]))
+    ints = scan._ints
+    me, ce = ints[ei]
+    corners = _box_corners(box_lo, box_hi)
+    pts = [_reduced(x) for x in corners]
+    # each corner lies on its box facets: x_i <= hi_i is id -2i-1, x_i >= lo_i id -2i-2
+    tight = [frozenset(-2 * i - 1 - (v == lo) for i, (v, lo) in enumerate(zip(x, box_lo)))
+             for x in corners]
+    new = _nearest_indices(scan, ei, 32)
+    cons = set(new)
     while True:
-        if n == 2:
-            ring = list(dict.fromkeys(clip_homogeneous(
-                box_ring, [(m[0] - mx, m[1] - my, mc - ci) for m, ci in (ints[i] for i in cons)])))
-            if _ring_dim(ring) < 2:
-                return None
-            args = [_int_argmax(ints, (x, y), w)[1] for x, y, w in ring]
-        else:
-            halfplanes = []
-            for i in cons:
-                other = scan.entries[i].piece
-                halfplanes.append((vsub(other.m, me.m), me.c - other.c))
-            pts = vertices_of_hrep([], halfplanes + box_ineqs, n)
-            if not pts or _dim_of_points(pts) < n:
-                return None
-            args = [scan.eval(u)[1] for u in pts]
-        bad = {i for arg in args if ei not in arg for i in arg} - cons
-        if not bad:
-            if n == 2:
-                pts = [(Fraction(x, w), Fraction(y, w)) for x, y, w in ring]
+        pts, tight = clip(pts, tight, [(j, [a - b for a, b in zip(ints[j][0], me)], ce - ints[j][1])
+                                       for j in new])
+        if linalg.rank(pts) <= n:
+            return None
+        args = [_int_argmax(ints, x[:-1], x[-1])[1] for x in pts]
+        new = sorted({i for arg in args if ei not in arg for i in arg} - cons)
+        if not new:
+            pts = [_rational(x) for x in pts]
             return (pts, args) if incidence else pts
-        cons |= bad
+        cons.update(new)
 
 
 def _touches_box(pts: Sequence[Vec], box_lo: Vec, box_hi: Vec) -> bool:
@@ -835,7 +818,7 @@ def _nearest_indices(scan: _EnvelopeScan, ei: int, count: int) -> list[int]:
     ints = scan._ints
     me = ints[ei][0]
     return heapq.nsmallest(count, (i for i in range(len(ints)) if i != ei),
-                           key=lambda i: max(abs(a - b) for a, b in zip(ints[i][0], me)))
+                           key=lambda i: max(map(abs, map(operator.sub, ints[i][0], me))))
 
 
 def linearity_cells(f: PeriodicPLFunction):
@@ -1057,37 +1040,15 @@ def _closure_under_faces(sigma: tuple[Polytope, ...]) -> tuple[Polytope, ...]:
     return tuple(out[k] for k in sorted(out))
 
 
-def _cap_vertices(p: Polytope, q: Polytope) -> list[Vec]:
-    """Sorted points of p ∩ q among which are its vertices, [] when it is
-    empty; no hull is built.  A 2-D polygon p is clipped (`clip_polygon`),
-    which may add points inside an edge; otherwise they are the vertices."""
-    if not boxes_meet(*p.bbox(), *q.bbox()):
-        return []
-    if p.ambient_dim == 2 and p.dim == 2:
-        return sorted(set(clip_polygon(_ring2d(p), q.halfspaces)))
-    eqs = list(dict.fromkeys(p.equations + q.equations))
-    ineqs = list(dict.fromkeys(p.inequalities + q.inequalities))
-    return vertices_of_hrep(eqs, ineqs, p.ambient_dim)
-
-
-def _ring_dim(ring: Sequence[tuple[int, int, int]]) -> int:
-    """Dimension of homogeneous points (X, Y, W), W > 0, or -1 if there are
-    none: two distinct points and a third span the plane when their 3×3
-    determinant is nonzero."""
-    pts = list(dict.fromkeys(ring))
-    if len(pts) <= 1:
-        return len(pts) - 1
-    return 2 if any(_int_det((pts[0], pts[1], q)) for q in pts[2:]) else 1
-
-
 def _face_orbits(d: PeriodicDecomposition, extra: Sequence[Vec]):
     """(den, periods, extra, cells, bases) on integers, all times the common
     denominator den of the periods, the cell vertices and the points `extra`.
     cells[ci] is (bbox of cell ci, [(orbit, bbox, offset) per face]), a face
     (`faces`) being its Λ-orbit's base shifted by offset, and bases[orbit] is
-    (face, vertices, k0) of the orbit's first face, lying at λ_k0 from the
-    translate whose least vertex in lattice coordinates lies in the
-    half-open fundamental parallelepiped, which keys the orbit.  A bbox is
+    (face, vertices, k0, tight) of the orbit's first face, lying at λ_k0 from
+    the translate whose least vertex in lattice coordinates lies in the
+    half-open fundamental parallelepiped, which keys the orbit; tight holds
+    the ids of its cell's inequalities that each vertex lies on.  A bbox is
     (lows, highs)."""
     c = d.cocycle
     n = c.n
@@ -1101,13 +1062,13 @@ def _face_orbits(d: PeriodicDecomposition, extra: Sequence[Vec]):
         verts = [next(pts) for _ in cell.vertices]
         lat = [tuple(sum(a * b for a, b in zip(row, v)) for row in pinv) for v in verts]
         cells.append((_int_box(verts), []))
-        for idx, ff in _faces(cell):
+        for idx, ff, tight in _faces(cell):
             ps = sorted(lat[i] for i in idx)
             k0 = tuple(x // (pden * den) for x in ps[0])
             rep = tuple(tuple(x - pden * den * k for x, k in zip(p, k0)) for p in ps)
             if rep not in orbits:
                 orbits[rep] = len(bases)
-                bases.append((ff, [verts[i] for i in idx], k0))
+                bases.append((ff, [verts[i] for i in idx], k0, tight))
             orbit = orbits[rep]
             mu = [a - b for a, b in zip(k0, bases[orbit][2])]
             off = tuple(sum(m * lam[j] for m, lam in zip(mu, lams)) for j in range(n))
@@ -1178,18 +1139,19 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
     translate is its Λ-orbit's base Δ shifted by λ, and the pair (σ, Δ + λ)
     is checked as (σ - λ, Δ).  The criterion is set up once per (σ, orbit)
     (`_criterion_forms`), after which a face costs one integer dot per form.
-    A face whose bbox misses σ's does not meet it; otherwise, in 2-D the
-    intersection is Δ's ring (a point, a segment or a polygon) clipped by
-    σ - λ, and in higher dimension `vertices_of_hrep` on Δ + λ.  Each row
-    holds Δ + λ, built once per orbit and shift (`_translator`).
+    A face whose bbox misses σ's does not meet it; otherwise the
+    intersection is Δ's vertices, with their incidence in Δ's cell, clipped
+    by the rows of σ - λ (`clip`), and its dimension is one less than the
+    rank of its homogeneous points.  Each row holds Δ + λ, built once per
+    orbit and shift (`_translator`).
     """
     n = d.cocycle.n
     sigmas = _closure_under_faces(tuple(sigma))
     den, lams, pts, cells, bases = _face_orbits(d, [v for s in sigmas for v in s.vertices])
-    movers = [_translator(ff, verts, den) for ff, verts, _ in bases]
-    feqs = [[_int_halfspace(a, cc, 1) for a, cc in ff.equations] for ff, _, _ in bases]
-    rings = [[tuple(x // math.gcd(*verts[i], den) for x in (*verts[i], den)) for i in _ccw(verts)]
-             for _, verts, _ in bases] if n == 2 else None
+    movers = [_translator(ff, verts, den) for ff, verts, _, _ in bases]
+    feqs = [[_int_halfspace(a, cc, 1) for a, cc in ff.equations] for ff, _, _, _ in bases]
+    homs = [[tuple(x // math.gcd(*v, den) for x in (*v, den)) for v in verts]
+            for _, verts, _, _ in bases]
     near = []       # (bbox, shift, faces) of each cell translate over Σ's box
     if sigmas:
         lo = tuple(min(col) for col in zip(*(s.bbox()[0] for s in sigmas)))
@@ -1202,8 +1164,8 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
     for s in sigmas:
         slo, shi = _int_box([next(pts) for _ in s.vertices])
         srows = [_int_halfspace(a, cc, 1) for a, cc in s.equations]
-        planes = [(den * a[0], den * a[1], den * cc, a) for a, cc in
-                  (_int_halfspace(*h, 1) for h in s.halfspaces)] if n == 2 else []
+        cuts = [([den * x for x in a], den * cc, a) for a, cc in
+                (_int_halfspace(*h, 1) for h in s.halfspaces)]
         criteria, seen = {}, set()
         for clo, chi, shift, fs in near:
             if not boxes_meet(clo, chi, slo, shi):
@@ -1219,11 +1181,11 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
                 expected = s.dim + ff.dim - n
                 if not boxes_meet(flo, fhi, back_lo, back_hi):
                     idim = -1
-                elif n == 2:        # σ - t/den = {den·a·x <= den·c - a·t}
-                    idim = _ring_dim(clip_homogeneous(rings[orbit], [
-                        (a0, a1, cc - a[0] * t[0] - a[1] * t[1]) for a0, a1, cc, a in planes]))
-                else:
-                    idim = _dim_of_points(_cap_vertices(s, cell))
+                else:               # σ - t/den = {den·a·x <= den·c - a·t}
+                    got, _ = clip(homs[orbit], bases[orbit][3], [
+                        (-1 - j, da, dc - sum(map(operator.mul, a, t)))
+                        for j, (da, dc, a) in enumerate(cuts)])
+                    idim = linalg.rank(got) - 1
                 if orbit not in criteria:
                     criteria[orbit] = _criterion_forms(srows, feqs[orbit], den, expected)
                 crit_ok = any(b != sum(x * y for x, y in zip(w, t)) for b, w in criteria[orbit])

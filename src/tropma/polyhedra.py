@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .linalg import Vec, dot, frac, vec, vsub
+from .linalg import Vec, dot, vec, vsub
 from .value import Value, setfield
 
 
@@ -193,7 +194,7 @@ class Polytope:
 
     def _face_vertex_sets(self) -> dict[frozenset, int]:
         """All nonempty faces as vertex-index sets, mapped to their dimension."""
-        return {frozenset(idx): face.dim for idx, face in _faces(self)}
+        return {frozenset(idx): face.dim for idx, face, _ in _faces(self)}
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.vertices == other.vertices
@@ -255,59 +256,6 @@ def from_incidence(pts: Sequence[Vec], supports: Sequence[tuple[Halfspace, froze
                     tuple(sorted({ineq for ineq, _ in facets})), n if dim is None else dim)
 
 
-def vertices_of_hrep(equations: Sequence[Halfspace],
-                     inequalities: Sequence[Halfspace], n: int) -> list[Vec]:
-    """All vertices of a bounded {x : eqs hold, ineqs hold}; [] if infeasible.
-
-    In coordinates of the equations' solution space, each basis of f
-    inequalities is solved by Cramer's rule on integers,
-    y = (det of the rows with column j replaced by the right-hand side) / det,
-    and kept when it satisfies every inequality.  Callers pass bounded
-    systems; on an unbounded one only the vertices are returned.
-    """
-    if equations:
-        a_rows = [a for a, _ in equations]
-        b_vals = [c for _, c in equations]
-        x0 = linalg.solve(a_rows, b_vals)
-        if x0 is None:
-            return []
-        kern = linalg.nullspace(a_rows, n)
-    else:
-        x0 = tuple(Fraction(0) for _ in range(n))
-        kern = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    f = len(kern)
-
-    red: list[Halfspace] = []
-    for a, c in inequalities:
-        ar = tuple(dot(a, k) for k in kern)
-        cr = c - dot(a, x0)
-        if all(x == 0 for x in ar):
-            if cr < 0:
-                return []
-            continue
-        red.append((ar, cr))
-
-    ints = [_int_halfspace(a, c, 1) for a, c in red]
-    ys = set()
-    for combo in itertools.combinations(ints, f):
-        d = _int_det([a for a, _ in combo])
-        if not d:
-            continue
-        nums = [_int_det([a[:j] + (c,) + a[j + 1:] for a, c in combo]) for j in range(f)]
-        if d < 0:
-            d, nums = -d, [-x for x in nums]
-        if all(sum(x * y for x, y in zip(a, nums)) <= c * d for a, c in ints):
-            ys.add(tuple(Fraction(x, d) for x in nums))
-
-    out = []
-    for y in ys:
-        x = list(x0)
-        for yi, k in zip(y, kern):
-            x = [xi + yi * ki for xi, ki in zip(x, k)]
-        out.append(tuple(x))
-    return sorted(set(out))
-
-
 def boxes_meet(lo1: Sequence, hi1: Sequence, lo2: Sequence, hi2: Sequence) -> bool:
     """Whether the boxes [lo1, hi1] and [lo2, hi2] intersect."""
     return all(a <= d and c <= b for a, b, c, d in zip(lo1, hi1, lo2, hi2))
@@ -317,14 +265,86 @@ def intersect(p: Polytope, q: Polytope) -> Optional[Polytope]:
     """Intersection of two polytopes; None when empty."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimensions differ")
+    verts = _cap_vertices(p, q)
+    return hull(verts) if verts else None
+
+
+def _cap_vertices(p: Polytope, q: Polytope) -> list[Vec]:
+    """The sorted vertices of p ∩ q, [] when it is empty, with no hull: p's
+    vertices, with p's own incidence (its equations and inequalities as
+    ids), clipped by q's halfspaces (`clip`)."""
     if not boxes_meet(*p.bbox(), *q.bbox()):
-        return None
-    eqs = list(dict.fromkeys(list(p.equations) + list(q.equations)))
-    ineqs = list(dict.fromkeys(list(p.inequalities) + list(q.inequalities)))
-    verts = vertices_of_hrep(eqs, ineqs, p.ambient_dim)
-    if not verts:
-        return None
-    return hull(verts)
+        return []
+    pts = [_reduced(v) for v in p.vertices]
+    own = [_int_halfspace(a, c, 1) for a, c in p.equations + p.inequalities]
+    ne = len(p.equations)
+    tight = [frozenset(j for j, (a, c) in enumerate(own)
+                       if j < ne or sum(map(operator.mul, a, x)) == c * x[-1]) for x in pts]
+    rows = [(-1 - j, *_int_halfspace(a, c, 1)) for j, (a, c) in enumerate(q.halfspaces)]
+    pts, _ = clip(pts, tight, rows)
+    return sorted(_rational(x) for x in pts)
+
+
+def _rational(x: Sequence[int]) -> Vec:
+    """The rational point X/W of a homogeneous integer point (X, W)."""
+    return tuple(Fraction(v, x[-1]) for v in x[:-1])
+
+
+def _reduced(point: Sequence[Fraction]) -> tuple[int, ...]:
+    """A rational point as the reduced homogeneous integer point (X, W), W > 0."""
+    w = math.lcm(*(x.denominator for x in point))
+    return (*(x.numerator * (w // x.denominator) for x in point), w)
+
+
+def clip(points: Sequence[tuple[int, ...]], tight: Sequence[frozenset],
+         rows: Iterable[tuple]) -> tuple[list[tuple[int, ...]], list[frozenset]]:
+    """Clip a polytope by integer rows, one double-description step per row
+    (Motzkin et al. 1953; Fukuda–Prodon 1996), exactly on Python ints.
+
+    The points are the polytope's vertices as reduced homogeneous integer
+    points (X_1, ..., X_n, W), W > 0, standing for X/W, and tight[i] holds
+    the ids of the constraints points[i] lies on: all of the polytope's own,
+    an equation counting as one id.  A row (id, a, c) means a·x <= c.  The
+    points with s = a·X - c·W <= 0 stay, those with s = 0 gaining the id, and
+    each edge (p, q) with s_p < 0 < s_q gives the reduced crossing point
+    s_q·p - s_p·q, tight on T_p ∩ T_q and the id.  Two vertices span an edge
+    when their common tight set Z has at least n - 1 ids and no third vertex
+    lies on all of Z: Z cuts out the least face holding both, and it is an
+    edge when they are its only vertices.  Returns (vertices, tight sets),
+    ([], []) when the polytope is empty.
+    """
+    pts, tight = list(points), list(tight)
+    need = len(pts[0]) - 2 if pts else 0
+    for key, a, c in rows:
+        vals = [sum(map(operator.mul, a, x), -c * x[-1]) for x in pts]
+        if max(vals, default=0) <= 0:
+            if 0 in vals:
+                tight = [t | {key} if s == 0 else t for t, s in zip(tight, vals)]
+            continue
+        kept, kept_tight, out = [], [], []
+        for j, s in enumerate(vals):
+            if s > 0:
+                out.append(j)
+            else:
+                kept.append(pts[j])
+                kept_tight.append(tight[j] | {key} if s == 0 else tight[j])
+        for i, si in enumerate(vals):
+            if si >= 0:
+                continue
+            p, tp = pts[i], tight[i]
+            for j in out:
+                z = tp & tight[j]
+                if len(z) < need or sum(z <= t for t in tight) > 2:
+                    continue
+                sj = vals[j]
+                x = [sj * u - si * v for u, v in zip(p, pts[j])]
+                g = math.gcd(*x)
+                kept.append(tuple(v // g for v in x))
+                kept_tight.append(z | {key})
+        pts, tight = kept, kept_tight
+        if not pts:
+            break
+    return pts, tight
 
 
 def faces(p: Polytope) -> list[Polytope]:
@@ -337,7 +357,7 @@ def faces(p: Polytope) -> list[Polytope]:
     facets of p, each with the first inequality of p that cuts it out.  Each
     face is checked on the same integer rows.
     """
-    return [face for _, face in _faces(p)]
+    return [face for _, face, _ in _faces(p)]
 
 
 def _equations(pts: Sequence[tuple[int, ...]], den: int, n: int
@@ -356,12 +376,15 @@ def _equations(pts: Sequence[tuple[int, ...]], den: int, n: int
     return sorted(eqs)
 
 
-def _faces(p: Polytope) -> list[tuple[list[int], Polytope]]:
-    """`faces` with the indices in p.vertices of each face's vertices."""
+def _faces(p: Polytope) -> list[tuple[list[int], Polytope, list[frozenset]]]:
+    """`faces` with the indices in p.vertices of each face's vertices, and
+    each of those vertices' incidence: the indices of p's inequalities it
+    lies on."""
     n = p.ambient_dim
     den, verts = _integer_points(p.vertices)
     rows = [_int_halfspace(a, c, den) for a, c in p.inequalities]
     tight, found = _face_lattice(verts, rows)
+    incidence = [frozenset(j for j, on in enumerate(tight) if i in on) for i in range(len(verts))]
     out = []
     for fset in sorted(found, key=lambda s: (len(s), sorted(s))):
         idx = sorted(fset, key=verts.__getitem__)
@@ -378,7 +401,7 @@ def _faces(p: Polytope) -> list[tuple[list[int], Polytope]]:
                         tuple(p.inequalities[j] for j in cut), n - len(eqs), _validate=False)
         face._check_consistency(([verts[i] for i in idx], [(a, c * den) for a, c in eqs],
                                  [rows[j] for j in cut]))
-        out.append((idx, face))
+        out.append((idx, face, [incidence[i] for i in idx]))
     return out
 
 

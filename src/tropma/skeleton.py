@@ -15,6 +15,7 @@ as the per-face flag `abelian_nondegenerate`.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -174,6 +175,21 @@ def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
                         tuple(max(col) for col in zip(*(hi for _, hi in boxes))))
 
 
+@functools.lru_cache(maxsize=4)
+def _pullback_function(pieces: tuple[AffinePiece, ...]) -> PeriodicPLFunction:
+    """The pullback of the metric to a face, as the function of its pieces:
+    one per piece list, so the face's atoms and the degree at each of its
+    vertices share one scan."""
+    return PeriodicPLFunction(None, pieces)
+
+
+def _atom_volume(h: PeriodicPLFunction, y: Vec) -> Fraction:
+    """The atom mass of the pullback h at y: the volume of the hull of the
+    argmax slopes (`polyhedra.volume`)."""
+    _, arg = h.scan_for(y, y).eval(y)
+    return volume(sorted({h.pieces[i].m for i in arg}))
+
+
 def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
                     ) -> list[tuple[Vec, Fraction]]:
     """Atoms (frame coordinates, dual volume) of MA(metric∘f_aff) in relint,
@@ -185,7 +201,7 @@ def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
     the saturated frame is the lattice volume of the dual, and zero unless
     the dual is full-dimensional.
     """
-    h = PeriodicPLFunction(None, pieces)
+    h = _pullback_function(tuple(pieces))
     carr_y = hull([face.frame.coordinates(v) for v in face.carrier.vertices])
     lo, hi = carr_y.bbox()
     pad = max(x - y for x, y in zip(hi, lo)) / 4 + Fraction(1, 97)
@@ -203,8 +219,7 @@ def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
     for y in sorted(candidates):
         if not carr_y.contains_relint(y):
             continue
-        _, arg = scan.eval(y)
-        vol = volume(sorted({scan.entries[i].piece.m for i in arg}))
+        vol = _atom_volume(h, y)
         if vol:
             out.append((y, vol))
     return out
@@ -284,9 +299,7 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
 
     if pieces is None:
         pieces = _pullback_pieces(spec.cocycle, metric, face)
-    h = PeriodicPLFunction(None, pieces)
-    _, arg = h.scan_for(y, y).eval(y)
-    vol = volume(sorted({h.pieces[i].m for i in arg}))
+    vol = _atom_volume(_pullback_function(tuple(pieces)), y)
     if not vol:
         raise ValueError("xi is not a vertex of the pullback complex")
 

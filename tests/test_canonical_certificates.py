@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
+from test_clip_kernel import vertices_of_hrep
 from test_strict_skip import polarized_cocycles
 
 from tropma import Cocycle, PeriodicPLFunction, linearity_cells, tangent_pl
@@ -27,8 +28,7 @@ from tropma.plfunc import (AffinePiece, _cell_from_ties, _certified_cell,
                            _fundamental_bbox, _ring2d, _shifts_meeting,
                            _translates_meeting, check_transversal, evaluate,
                            translate_piece)
-from tropma.polyhedra import (Polytope, _canon_ineq, clip_polygon, hull, intersect,
-                              vertices_of_hrep)
+from tropma.polyhedra import Polytope, _canon_ineq, clip_polygon, hull, intersect
 
 # Every example still runs and is checked; only a failure's report goes
 # unshrunk, since shrinking these examples takes minutes.

@@ -9,6 +9,7 @@ same cells, the same cell pieces and the same strict flag.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_strict_skip import polarized_cocycles
@@ -20,7 +21,8 @@ from tropma.plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, _C
                            _EnvelopeScan, _certified_cell, _default_collar, _fundamental_bbox,
                            _nearest_indices, _ring2d, _touches_box, linearity_cells,
                            translate_piece)
-from tropma.polyhedra import clip_polygon, hull
+from tropma.ma import ma_pl
+from tropma.polyhedra import clip_polygon, hull, volume
 
 SETTINGS = settings(max_examples=5, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -190,3 +192,21 @@ def test_first_collar_restarts(monkeypatch):
             decomp = linearity_cells(tangent_pl(c, k))[0]
             assert len(decomp.cells) == k ** c.n
             assert len(restarts) <= bound
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("b,z0,mass", [(I3, [F(1, 2)] * 3, 1),
+                                       ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [1, 1, 1], 4)],
+                         ids=["id3", "skew3"])
+def test_mesh_two_cells_in_a_threefold(b, z0, mass):
+    # the n = 3 walk runs the same integer clip as the 2-D one: 8 strict
+    # cells tiling a fundamental domain, and the masses det(b)·covol(Λ)
+    c = Cocycle.make(I3, b, z0)
+    f = tangent_pl(c, 2)
+    decomp, pieces, strict = linearity_cells(f)
+    assert strict and len(decomp.cells) == 8 and len(set(pieces.values())) == 8
+    assert sum(volume(cell.vertices, cell.inequalities) for cell in decomp.cells) \
+        == c.covolume()
+    assert sum(a.mass for a in ma_pl(f).atoms) == mass

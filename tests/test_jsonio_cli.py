@@ -596,6 +596,31 @@ def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):
         assert F(json.loads(outs[0])["total"]) == (1 if argv[0] == "ma" else 2)
 
 
+def test_optimized_python_gives_the_same_3d_mass(tmp_path):
+    # ma --fundamental on the id3 mesh-2 metric runs the n = 3 cell walk, the
+    # tiling's volume check and the mass check: explicit checks all, so
+    # python -O changes nothing
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    i3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    c = jsonio.dec_cocycle({"n": 3, "periods": i3, "b": i3, "z0": ["1/2"] * 3})
+    metric = tmp_path / "f.json"
+    metric.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(c, 2))))
+    outs = []
+    for flags in ([], ["-O"]):
+        p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", "ma", "--in", str(metric),
+                            "--fundamental"], capture_output=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+        assert p.returncode == 0, p.stderr
+        outs.append(p.stdout)
+    assert outs[0] == outs[1]
+    assert F(json.loads(outs[0])["total"]) == 1
+
+
 class TestMeasureInputs:
     """`validate` reads measure artifacts as measures, and `ma --region`
     rejects a region it cannot use."""

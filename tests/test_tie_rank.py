@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropma import Cocycle, PeriodicPLFunction, cli, jsonio, linearity_cells, tangent_pl
+from tropma import plfunc, skeleton
 from tropma.approx import perturb_generic
 from tropma.linalg import dot
 from tropma.plfunc import AffinePiece, _dim_of_points, _translates_meeting
@@ -80,10 +81,9 @@ def square(fid, x0, axes, t):
             "abelian_nondegenerate": True, "boundary": []}
 
 
-@pytest.mark.parametrize("c", [ID3, SKEW3], ids=["id3", "skew3"])
-def test_degree_on_a_surface_in_a_threefold(c, tmp_path, capsys):
-    # three coordinate-plane squares at generic offsets, on the mesh-2 tangent
-    # metric: the degrees sum to the PL skeleton measure
+def surface_in_a_threefold(c, tmp_path):
+    """Spec and metric files: three coordinate-plane squares at generic
+    offsets, and the mesh-2 tangent metric."""
     offsets = [["131/1009", "137/1013", "139/1019"], ["141/1009", "149/1013", "151/1019"],
                ["157/1009", "163/1013", "167/1019"]]
     faces_ = [square(f"sq{i}{j}", 2 * a, (i, j), offsets[a])
@@ -92,6 +92,13 @@ def test_degree_on_a_surface_in_a_threefold(c, tmp_path, capsys):
     spec.write_text(json.dumps({"cocycle": jsonio.enc_cocycle(c), "d": 2, "faces": faces_}))
     metric = tmp_path / "metric.json"
     metric.write_text(jsonio.dumps(jsonio.enc_function(tangent_metric(c, 2))))
+    return spec, metric
+
+
+@pytest.mark.parametrize("c", [ID3, SKEW3], ids=["id3", "skew3"])
+def test_degree_on_a_surface_in_a_threefold(c, tmp_path, capsys):
+    # the degrees sum to the PL skeleton measure
+    spec, metric = surface_in_a_threefold(c, tmp_path)
     reports = {}
     for command in ("degree", "skeleton-measure"):
         t0 = time.monotonic()
@@ -102,3 +109,23 @@ def test_degree_on_a_surface_in_a_threefold(c, tmp_path, capsys):
     degrees, measure = reports["degree"], reports["skeleton-measure"]
     assert len(degrees["degrees"]) == len(measure["atoms"]) > 0
     assert degrees["total"] == measure["total"]
+
+
+def test_degree_builds_one_pullback_scan_per_face(tmp_path, capsys, monkeypatch):
+    # a face's atoms and the degree at each of its vertices share the face's
+    # pullback function, so `degree` builds one pullback scan per face
+    built = []
+    original = plfunc._EnvelopeScan.__init__
+
+    def counting(self, f, lo, hi):
+        if f.cocycle is None:
+            built.append(f)
+        original(self, f, lo, hi)
+
+    monkeypatch.setattr(plfunc._EnvelopeScan, "__init__", counting)
+    skeleton._pullback_function.cache_clear()
+    spec, metric = surface_in_a_threefold(SKEW3, tmp_path)
+    assert cli.main(["degree", "--in", str(spec), "--metric", str(metric)]) == 0
+    rows = json.loads(capsys.readouterr().out)["degrees"]
+    assert len(rows) > 3
+    assert len(built) == 3

@@ -5,9 +5,10 @@ Fraction code they replaced.
 The flag-chain volume it replaced (one simplex per flag of faces, spanned by
 the face barycenters, with Fraction determinants) is kept here as the
 reference, and so is the old dual volume at a point: Fraction hull, then its
-saturated frame, then flag chains.  The 2-D `_certified_cell` keeps its clipped
-ring as homogeneous integers; the Fraction certificate it replaced (Fraction
-clip, rank test, Fraction argmax) is the second reference.
+saturated frame, then flag chains.  `_certified_cell` clips on homogeneous
+integers (`polyhedra.clip`) and returns exactly the cell's vertices; the 2-D
+Fraction certificate (Fraction ring clip, rank test, Fraction argmax) is the
+second reference.
 """
 
 import math
@@ -231,11 +232,10 @@ def test_integer_certificate_matches_fraction_certificate(c, k, shifts):
         unseeded = fraction_certified_cell(scan, ei, box_lo, box_hi)
         assert (got is None) == (seeded is None) == (unseeded is None)
         if got is not None:
-            # the constraints are clipped in set order, which may differ
-            assert sorted(got) == sorted(seeded)
-            # extra collinear boundary points may depend on the constraint
-            # set, so the unseeded certificate is compared as a cell
-            assert hull(got).vertices == hull(unseeded).vertices
+            # the Fraction ring may keep extra collinear boundary points,
+            # which depend on the constraint set; the integer clip returns
+            # exactly the vertices
+            assert sorted(got) == list(hull(seeded).vertices) == list(hull(unseeded).vertices)
             cells += 1
     assert cells > 0
 
