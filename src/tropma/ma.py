@@ -19,7 +19,8 @@ from .cocycle import Cocycle, UnpolarizedError
 from .linalg import Mat, Vec, dot, vec
 from .plfunc import (CertificateError, PeriodicPLFunction, _translates_meeting, evaluate,
                      linearity_cells)
-from .polyhedra import AffineLatticeFrame, Polytope, hull, lattice_volume, volume
+from .polyhedra import (AffineLatticeFrame, Polytope, envelope_clip, graph_point, hull,
+                        lattice_volume, volume)
 from .value import Value, setfield
 
 
@@ -89,29 +90,26 @@ def subdifferential(f: PeriodicPLFunction, xi: Sequence) -> Subdifferential:
     """Subdifferential of a convex PL function: hull of the argmax slopes.
 
     The construction is certified against the defining inequality at the
-    vertices of the cells adjacent to xi (the cells of the argmax translates).
+    vertices of the cells adjacent to xi: the vertices of one lifted clip of
+    f's graph over xi ± 1 (`envelope_clip`) that are tight with an argmax
+    translate, where f(w) is the vertex's lifted coordinate.  The inequality
+    is affine on each of those cells, so it then holds on a neighbourhood of
+    xi, and by convexity everywhere.
     """
-    from .plfunc import _certified_cell
     xi = vec(xi)
-    pad = max((abs(x) for x in xi), default=Fraction(1)) + 1
-    box_lo = tuple(x - pad for x in xi)
-    box_hi = tuple(x + pad for x in xi)
+    box_lo = tuple(x - 1 for x in xi)
+    box_hi = tuple(x + 1 for x in xi)
     scan = f.scan_for(box_lo, box_hi)
-    _, arg_idx = scan.eval(xi)
-    arg = [scan.entries[i] for i in arg_idx]
-    slopes = sorted({e.piece.m for e in arg})
-    dual = hull(slopes)
-    entry_index = {(e.rep_index, e.k): i for i, e in enumerate(scan.entries)}
-    for e in arg:
-        pts = _certified_cell(scan, entry_index[(e.rep_index, e.k)], box_lo, box_hi)
-        if pts is None:
+    fxi, arg_idx = scan.eval(xi)
+    dual = hull(sorted({scan.entries[i].piece.m for i in arg_idx}))
+    for x, tight in zip(*envelope_clip(scan._ints, box_lo, box_hi)):
+        if tight.isdisjoint(arg_idx):
             continue
-        fxi = e.piece.value(xi)
-        for w in pts:
-            fw, _ = scan.eval(w)
-            for u in dual.vertices:
-                if fw - fxi < dot(linalg.vsub(w, xi), u):
-                    raise CertificateError("subdifferential certificate failed")
+        fw = Fraction(x[-2], scan.den * x[-1])
+        w = graph_point(x)
+        for u in dual.vertices:
+            if fw - fxi < dot(linalg.vsub(w, xi), u):
+                raise CertificateError("subdifferential certificate failed")
     return Subdifferential(xi, dual)
 
 

@@ -9,14 +9,13 @@ representatives, where translating a piece by λ twists it by the cocycle:
 Because z_λ(0) grows like b(λ,λ)/2, a translate's value decays quadratically
 in λ and the sup is a finite max locally.  All evaluation here is certified:
 the contributing translates over a box are enumerated from an explicit
-ellipsoid bound, and cells of linearity are accepted only after their vertices
-reproduce the envelope exactly.
+ellipsoid bound, and cells of linearity are read off an exact clip of the
+envelope's epigraph.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import operator
@@ -28,8 +27,8 @@ from .cocycle import Cocycle, UnpolarizedError
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Mat, Vec, dot, vadd, vec, vsub
 from .polyhedra import (Polytope, _canon_ineq, _cap_vertices, _faces, _int_halfspace,
-                        _integer_points, _rational, _reduced, boxes_meet, clip, faces,
-                        from_incidence, volume)
+                        _integer_points, box_corners, boxes_meet, clip, envelope_clip, faces,
+                        from_incidence, graph_point, volume)
 from .value import Value, setfield
 
 
@@ -81,16 +80,12 @@ class PeriodicPLFunction:
     data computed on demand and cached (linearity_cells populates it).
     """
 
-    def __init__(self, cocycle: Optional[Cocycle], pieces: Sequence[AffinePiece],
-                 cells: Optional["PeriodicDecomposition"] = None,
-                 cell_pieces: Optional[tuple[AffinePiece, ...]] = None):
+    def __init__(self, cocycle: Optional[Cocycle], pieces: Sequence[AffinePiece]):
         if not pieces:
             raise ValueError("a PL function needs at least one piece")
         self.cocycle = cocycle
         self.pieces: tuple[AffinePiece, ...] = tuple(pieces)
         self._cells_cache: Optional[tuple] = None
-        if cells is not None and cell_pieces is not None:
-            self._cells_cache = (cells, dict(enumerate(cell_pieces)), None)
         self._scan: Optional[_EnvelopeScan] = None
 
     @property
@@ -164,10 +159,7 @@ class _EnvelopeScan:
         c = f.cocycle
         if c is None:
             self.entries = [TranslatedPiece(p, i, ()) for i, p in enumerate(f.pieces)]
-            den = linalg.common_denominator(
-                [x for p in f.pieces for x in p.m] + [p.c for p in f.pieces])
-            self.den = den
-            self._ints = [(tuple(int(x * den) for x in p.m), int(p.c * den)) for p in f.pieces]
+            self.den, self._ints = integer_pieces(f.pieces)
         else:
             if not c.polarized:
                 raise UnpolarizedError("envelope diverges")
@@ -188,7 +180,7 @@ class _EnvelopeScan:
         """
         if not self.covers(lo, hi):
             raise ValueError("the box is not inside the scan's box")
-        corners = _box_corners(lo, hi)
+        corners = box_corners(lo, hi)
         dw = linalg.common_denominator(x for w in corners for x in w)
         ws = [tuple(_scaled_int(x, dw) for x in w) for w in corners]
         vals = [[sum(a * b for a, b in zip(m, w)) + ci * dw for w in ws]
@@ -207,6 +199,12 @@ class _EnvelopeScan:
         out = (Fraction(best, self.den * dw), tuple(arg))
         self._cache[point] = out
         return out
+
+
+def integer_pieces(pieces: Sequence[AffinePiece]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(den, [(den·m, den·c) per piece]) for the least common denominator den."""
+    den = linalg.common_denominator([x for p in pieces for x in p.m] + [p.c for p in pieces])
+    return den, [(tuple(int(x * den) for x in p.m), int(p.c * den)) for p in pieces]
 
 
 def _int_argmax(ints, w: Sequence[int], dw: int) -> tuple[int, list[int]]:
@@ -230,12 +228,6 @@ def _int_argmax(ints, w: Sequence[int], dw: int) -> tuple[int, list[int]]:
             elif v == best:
                 arg.append(i)
     return best, arg
-
-
-def _box_corners(lo: Vec, hi: Vec) -> list[Vec]:
-    """The distinct corners of the box [lo, hi]."""
-    return list(dict.fromkeys(tuple(pair[b] for pair, b in zip(zip(lo, hi), bits))
-                              for bits in itertools.product((0, 1), repeat=len(lo))))
 
 
 def _grid_points(lo: Vec, hi: Vec) -> list[Vec]:
@@ -503,7 +495,7 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
     """
     c = f.cocycle
     q = _cocycle_quadratic_data(c)
-    corners = _box_corners(lo, hi)
+    corners = box_corners(lo, hi)
     minorants = sorted({_point_envelope_entry(f, gp) for gp in _grid_points(lo, hi)})
     centre = tuple((a + b) / 2 for a, b in zip(lo, hi))
     top = max((translate_piece(c, f.pieces[pi], k) for pi, k in minorants),
@@ -670,10 +662,9 @@ def check_periodic(d: PeriodicDecomposition) -> bool:
     blo = tuple(a - collar for a in lo)
     bhi = tuple(b + collar for b in hi)
     near = [t for _, _, t in _translates_meeting(d, blo, bhi)]
-    boxes = [tuple(tuple(map(float, x)) for x in t.bbox()) for t in near]
     for i, t1 in enumerate(near):
         for j in range(i + 1, len(near)):
-            if boxes_meet(*boxes[i], *boxes[j]) and not _pair_compatible(t1, near[j], n):
+            if boxes_meet(*t1.bbox(), *near[j].bbox()) and not _pair_compatible(t1, near[j], n):
                 return False
     return True
 
@@ -765,75 +756,29 @@ class _CollarTooSmall(Exception):
     pass
 
 
-def _certified_cell(scan: _EnvelopeScan, ei: int, box_lo: Vec, box_hi: Vec,
-                    incidence: bool = False):
-    """The vertices of {ω in box : entry ei attains the envelope}, or None when
-    it is not full-dimensional; with `incidence`, (vertices, the argmax entry
-    indices at each vertex).
-
-    The constraints start from the 32 entries nearest to ei by slope
-    (`_nearest_indices`) and are grown on demand: whenever a vertex fails the
-    envelope certificate, the entries beating ei there are added, and the
-    cell already there is clipped by their rows alone, so the result is
-    certified independently of the seeds and of any pruning.
-
-    The certificate stays on integers in every dimension: the box's corners,
-    tight on the box's facets, are clipped (`clip`) by the rows
-    (m_j - m_e)·ω <= c_e - c_j of the scan's integerized entries, the cell is
-    full-dimensional when its homogeneous points (X, W) have rank n + 1, and
-    the argmax at a vertex is that of m·X + c·W (`_int_argmax`).  Fractions
-    are built only for the returned vertices.
-    """
-    n = len(box_lo)
-    ints = scan._ints
-    me, ce = ints[ei]
-    corners = _box_corners(box_lo, box_hi)
-    pts = [_reduced(x) for x in corners]
-    # each corner lies on its box facets: x_i <= hi_i is id -2i-1, x_i >= lo_i id -2i-2
-    tight = [frozenset(-2 * i - 1 - (v == lo) for i, (v, lo) in enumerate(zip(x, box_lo)))
-             for x in corners]
-    new = _nearest_indices(scan, ei, 32)
-    cons = set(new)
-    while True:
-        pts, tight = clip(pts, tight, [(j, [a - b for a, b in zip(ints[j][0], me)], ce - ints[j][1])
-                                       for j in new])
-        if linalg.rank(pts) <= n:
-            return None
-        args = [_int_argmax(ints, x[:-1], x[-1])[1] for x in pts]
-        new = sorted({i for arg in args if ei not in arg for i in arg} - cons)
-        if not new:
-            pts = [_rational(x) for x in pts]
-            return (pts, args) if incidence else pts
-        cons.update(new)
-
-
-def _touches_box(pts: Sequence[Vec], box_lo: Vec, box_hi: Vec) -> bool:
-    return any(v[i] == box_lo[i] or v[i] == box_hi[i]
-               for v in pts for i in range(len(box_lo)))
-
-
-def _nearest_indices(scan: _EnvelopeScan, ei: int, count: int) -> list[int]:
-    """The `count` entries other than ei nearest to it by the L∞ distance of
-    their integer slopes, ties by index: the likely facets of ei's cell."""
-    ints = scan._ints
-    me = ints[ei][0]
-    return heapq.nsmallest(count, (i for i in range(len(ints)) if i != ei),
-                           key=lambda i: max(map(abs, map(operator.sub, ints[i][0], me))))
+def _certified_cell(clipped, ei: int):
+    """Entry ei's cell in a lifted clip (`envelope_clip`) as (vertices, the
+    tight set of each), or None below rank n + 1.  The cell is the projection
+    of the face of the graph on which ei attains: its vertices are the
+    clipped vertices tight with ei."""
+    pts, tight = clipped
+    on = [v for v, t in enumerate(tight) if ei in t]
+    n = len(pts[0]) - 2
+    if len(on) <= n or linalg.rank([pts[v] for v in on]) <= n:
+        return None
+    return [graph_point(pts[v]) for v in on], [tight[v] for v in on]
 
 
 def linearity_cells(f: PeriodicPLFunction):
     """Maximal cells of linearity, as canonical representatives modulo Λ.
 
-    Returns (decomposition, cell_to_piece, strictly_convex).  The walk starts
-    at the fundamental domain's barycenter and visits the Λ-classes of the
-    representatives, since every translate's cell is a lattice shift of one
-    cell: one translate per class is certified by evaluating the envelope at
-    its vertices and shifted to its canonical translate, whose barycenter lies
-    in the half-open fundamental parallelepiped.  The canonical cell's vertices
-    give the tie and the neighbouring classes.  A certified cell touching the
-    search box, or a canonical translate outside it, restarts the walk with a
-    larger collar.  When several translates tie on a whole cell, the
-    lexicographically minimal piece is assigned.
+    Returns (decomposition, cell_to_piece, strictly_convex), read off one
+    lifted clip of the envelope's graph over the fundamental box widened by a
+    collar (`_walk_cells`): first 5/9 of the working scan's two cell widths,
+    so that a tangent mesh's cells, one width across, end inside the box
+    rather than on its facets; on a restart the working scan's collar, then
+    grown.  A cell that several translates tie on gets the lexicographically
+    least piece.
     """
     if f._cells_cache is not None and f._cells_cache[2] is not None:
         return f._cells_cache
@@ -841,80 +786,75 @@ def linearity_cells(f: PeriodicPLFunction):
     if c is None:
         raise ValueError("linearity_cells needs a periodic function")
     flo, fhi = _fundamental_bbox(c)
-    dom = c.fundamental_domain()
     collar = _default_collar(f)
     width = max(b - a for a, b in zip(flo, fhi))
-    for _attempt in range(8):
+    for attempt in range(9):
         try:
-            result = _walk_cells(f, dom, flo, fhi, collar)
+            result = _walk_cells(f, flo, fhi, collar * 5 / 9 if attempt == 0 else collar)
             break
         except _CollarTooSmall:
-            collar = min(collar * 2, collar + width)
+            if attempt:
+                collar = min(collar * 2, collar + width)
     else:
         raise CellWalkError("cell walk failed to stabilize; is b positive definite?")
     f._cells_cache = result
     return result
 
 
-def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
-                collar: Fraction):
-    """One certified cell per Λ-class of representatives, walked from dom.
+def _walk_cells(f: PeriodicPLFunction, flo: Vec, fhi: Vec, collar: Fraction):
+    """One collar step of `linearity_cells`: one cell per Λ-class, read off
+    the lifted clip over the box [flo - collar, fhi + collar].
 
-    By the cocycle rule the cell of the translate (p, k) is the cell of (p, 0)
-    shifted by λ_k, so one translate of each representative is certified and
-    shifted to its canonical translate, whose scan entry gives the tie and the
-    neighbours at the canonical cell's vertices.  Every representative in the
-    tie is done; only neighbours of classes not done are walked.  Each cell is
-    built from the argmax sets its certificate ends with (`_cell_from_ties`),
-    equal to `hull` of its points field by field, with no facet search.
+    The clip (`envelope_clip`) runs on f's scan, which covers the working
+    box and grows with the box.  By the cocycle rule the cell of the
+    translate (p, k) is the cell of (p, 0) shifted by λ_k, so one translate
+    of each representative's cell that touches no box facet, a whole cell of
+    f, is shifted to its canonical translate, whose barycenter lies in the
+    half-open fundamental parallelepiped.  Every class that attains meets the
+    fundamental domain, inside the box, in a full-dimensional set, so a
+    representative whose cells of rank n + 1 all touch a box facet raises
+    _CollarTooSmall.
+    A cell is built from the tight sets at its vertices (`_cell_from_ties`);
+    its tie is the entries tight at all of them.
     """
     c = f.cocycle
+    n = c.n
     box_lo = tuple(a - collar for a in flo)
     box_hi = tuple(b + collar for b in fhi)
+    f.working_scan()
     scan = f.scan_for(box_lo, box_hi)
+    clipped = pts, tight = envelope_clip(scan._ints, box_lo, box_hi)
+    at: dict[int, list[int]] = {}
+    for v, t in enumerate(tight):
+        for j in t:
+            at.setdefault(j, []).append(v)
     entries = scan.entries
-    entry_index = {(e.rep_index, e.k): i for i, e in enumerate(entries)}
-
-    _, seed = scan.eval(dom.barycenter())
-    queue = list(seed)
-    enqueued = set(seed)
-    done: set[int] = set()
     canonical: dict[tuple, tuple[Polytope, AffinePiece, bool]] = {}
-
-    while queue:
-        ei = queue.pop()
-        e = entries[ei]
-        if e.rep_index in done:
+    done: set[int] = set()
+    cut: set[int] = set()
+    for ei in sorted(j for j in at if j >= 0):
+        on = at[ei]
+        if entries[ei].rep_index in done:
             continue
-        got = _certified_cell(scan, ei, box_lo, box_hi, incidence=True)
+        if any(j < 0 for v in on for j in tight[v]):
+            if len(on) > n and linalg.rank([pts[v] for v in on]) > n:
+                cut.add(entries[ei].rep_index)
+            continue
+        got = _certified_cell(clipped, ei)
         if got is None:
             continue
-        pts, args = got
-        if _touches_box(pts, box_lo, box_hi):
-            raise _CollarTooSmall()
-        cell = _cell_from_ties(scan, ei, pts, args)
+        cell = _cell_from_ties(scan, ei, *got)
         _, kshift = c.canonicalize(cell.barycenter())
-        ccell = cell.translate(tuple(-x for x in c.lattice_vector(kshift))) \
-            if any(kshift) else cell
-        ci = entry_index.get((e.rep_index, tuple(a - b for a, b in zip(e.k, kshift))))
-        clo, chi = ccell.bbox()
-        if ci is None or any(a < b for a, b in zip(clo, box_lo)) or \
-                any(a > b for a, b in zip(chi, box_hi)):
-            raise _CollarTooSmall()
-
-        ties = [set(scan.eval(u)[1]) for u in ccell.vertices]
-        tie, neighbors = set.intersection(*ties), set.union(*ties)
-        if not tie or ci not in tie:
-            raise CellWalkError("cell certificate failed: the walked entry does not "
-                               "attain the envelope on its whole cell")
-        piece = min((entries[i].piece for i in tie), key=lambda p: (p.m, p.c))
-        canonical[ccell.vertices] = (ccell, piece, len(tie) == 1)
-        done.update(entries[i].rep_index for i in tie)
-
-        for i in neighbors:
-            if i not in enqueued and entries[i].rep_index not in done:
-                enqueued.add(i)
-                queue.append(i)
+        if any(kshift):
+            cell = cell.translate(tuple(-x for x in c.lattice_vector(kshift)))
+        tie = [entries[i] for i in frozenset.intersection(*got[1])]
+        piece = min((translate_piece(c, f.pieces[e.rep_index],
+                                     tuple(map(operator.sub, e.k, kshift))) for e in tie),
+                    key=lambda p: (p.m, p.c))
+        canonical[cell.vertices] = (cell, piece, len(tie) == 1)
+        done.update(e.rep_index for e in tie)
+    if cut - done:
+        raise _CollarTooSmall()
 
     walked = [canonical[key] for key in sorted(canonical)]
     strict = done == set(range(len(f.pieces))) and all(unique for _, _, unique in walked)
@@ -923,12 +863,12 @@ def _walk_cells(f: PeriodicPLFunction, dom: Polytope, flo: Vec, fhi: Vec,
 
 
 def _cell_from_ties(scan: _EnvelopeScan, ei: int, pts: Sequence[Vec], args) -> Polytope:
-    """conv(pts), the certified cell of entry ei, from its certificate's incidence.
+    """conv(pts), the cell of entry ei, from the tight sets it is given.
 
     args[i] is the argmax set at pts[i].  Entry j ties with ei exactly on the
     hyperplane (m_j - m_e)·ω = c_e - c_j, and p_j <= p_e on the cell, so the
     points where j ties but not everywhere are a proper face with that
-    inequality.  The cell does not touch the search box, so every facet is
+    inequality.  The cell does not touch the clipped box, so every facet is
     among them (`from_incidence` keeps the maximal ones).
     """
     me = scan.entries[ei].piece

@@ -244,8 +244,8 @@ def from_incidence(pts: Sequence[Vec], supports: Sequence[tuple[Halfspace, froze
     on it), among them every facet with its inequality in canonical form.
     The facets are the maximal faces, and a point is a vertex when the facets
     through it meet in it alone, which drops points inside an edge or a
-    facet.  Shared by `hull` and by the cell walk, which reads the incidence
-    off its certificate.
+    facet.  Shared by `hull` and by `linearity_cells`, which reads the
+    incidence off the lifted clip (`envelope_clip`).
     """
     facets = [(ineq, on) for ineq, on in supports if not any(on < other for _, other in supports)]
     every = frozenset(range(len(pts)))
@@ -328,16 +328,23 @@ def clip(points: Sequence[tuple[int, ...]], tight: Sequence[frozenset],
             else:
                 kept.append(pts[j])
                 kept_tight.append(tight[j] | {key} if s == 0 else tight[j])
-        for i, si in enumerate(vals):
-            if si >= 0:
-                continue
-            p, tp = pts[i], tight[i]
-            for j in out:
-                z = tp & tight[j]
-                if len(z) < need or sum(z <= t for t in tight) > 2:
+        on: dict = {}
+        for i, t in enumerate(tight):
+            for k in t:
+                on.setdefault(k, []).append(i)
+        every = range(len(pts))
+        for j in out:
+            tq, sj = tight[j], vals[j]
+            # a point sharing `need` ids with tq is on one of any len(tq) - need + 1 of them
+            near = sorted(tq, key=lambda k: len(on[k]))[:len(tq) - need + 1]
+            for i in sorted(set().union(*(on[k] for k in near))) if need else every:
+                si = vals[i]
+                z = tight[i] & tq
+                if si >= 0 or len(z) < need or \
+                        sum(z <= tight[v] for v in (min((on[k] for k in z), key=len)
+                                                    if z else every)) > 2:
                     continue
-                sj = vals[j]
-                x = [sj * u - si * v for u, v in zip(p, pts[j])]
+                x = [sj * u - si * v for u, v in zip(pts[i], pts[j])]
                 g = math.gcd(*x)
                 kept.append(tuple(v // g for v in x))
                 kept_tight.append(z | {key})
@@ -345,6 +352,70 @@ def clip(points: Sequence[tuple[int, ...]], tight: Sequence[frozenset],
         if not pts:
             break
     return pts, tight
+
+
+def box_corners(lo: Vec, hi: Vec) -> list[Vec]:
+    """The distinct corners of the box [lo, hi]."""
+    return list(dict.fromkeys(tuple(pair[b] for pair, b in zip(zip(lo, hi), bits))
+                              for bits in itertools.product((0, 1), repeat=len(lo))))
+
+
+def envelope_clip(ints: Sequence[tuple[Sequence[int], int]], box_lo: Vec, box_hi: Vec
+                  ) -> tuple[list[tuple[int, ...]], list[frozenset]]:
+    """The vertices of the graph of F = max_i (m_i·y + c_i) over the box, for
+    integer entries (m_i, c_i), with their tight sets: box × [s_lo, s_hi]
+    clipped (`clip`) by the rows m_i·y - s <= -c_i (id i).  s_hi exceeds F at
+    the box's corners and s_lo is below entry 0 there, so the vertices off
+    the s_hi facet are those of the complex F induces, cut by the box.  Each
+    is the reduced homogeneous point (Y, S, W) of (y, F(y)), and its tight
+    set holds its argmax set and the box facets it lies on (y_i <= hi_i is id
+    -2i-1, y_i >= lo_i id -2i-2).  The rows go largest at the box's centre
+    first; every 32 rows, those that can no longer cut go (`_rows_reaching`).
+    """
+    n = len(box_lo)
+    ys = box_corners(box_lo, box_hi)
+    den, corners = _integer_points(ys)
+    top_id, bottom_id = -2 * n - 1, -2 * n - 2
+    top = max(sum(map(operator.mul, m, x), c * den) for x in corners for m, c in ints) + den
+    m0, c0 = ints[0]
+    bottom = min(sum(map(operator.mul, m0, x), c0 * den) for x in corners) - den
+    pts, tight = [], []
+    for x, y in zip(corners, ys):
+        box = frozenset(-2 * i - 1 - (v == lo) for i, (v, lo) in enumerate(zip(y, box_lo)))
+        for s, key in ((top, top_id), (bottom, bottom_id)):
+            g = math.gcd(*x, s, den)
+            pts.append((*(v // g for v in x), s // g, den // g))
+            tight.append(box | {key})
+    centre = [sum(col) for col in zip(*corners)]
+    order = sorted(range(len(ints)), key=lambda i: -sum(map(operator.mul, ints[i][0], centre))
+                   - ints[i][1] * den * len(corners))
+    rows = [(i, (*ints[i][0], -1), -ints[i][1]) for i in order]
+    bound = max(sum(map(abs, a)) + abs(c) for _, a, c in rows)
+    while rows:
+        pts, tight = clip(pts, tight, rows[:32])
+        rows = _rows_reaching(pts, rows[32:], bound)
+    keep = [i for i, t in enumerate(tight) if top_id not in t]
+    return [pts[i] for i in keep], [tight[i] for i in keep]
+
+
+def _rows_reaching(points: Sequence[tuple[int, ...]], rows: Sequence[tuple], bound: int
+                   ) -> list[tuple]:
+    """The rows (id, a, c) with v = a·X - c·W >= 0 at some point (X, W); a
+    row negative at every vertex stays so on every polytope clipped out of
+    this one.  Each coordinate is packed into one integer Σ_j x_j·2^(w·j), so
+    a row's packed value is Σ_j v_j·2^(w·j); bound >= Σ|a| + |c| keeps
+    |v_j| < 2^(w-2), so after adding 2^(w-1) to every slot the top bit of
+    slot j is set exactly when v_j >= 0.
+    """
+    w = (bound * max(abs(v) for x in points for v in x)).bit_length() + 2
+    cols = [sum(v << (w * j) for j, v in enumerate(col)) for col in zip(*points)]
+    half = ((1 << (w * len(points))) - 1) // ((1 << w) - 1) << (w - 1)
+    return [r for r in rows if (sum(map(operator.mul, r[1], cols), half - r[2] * cols[-1]) & half)]
+
+
+def graph_point(x: Sequence[int]) -> Vec:
+    """The point y of a homogeneous graph vertex (Y, S, W) of `envelope_clip`."""
+    return tuple(Fraction(v, x[-1]) for v in x[:-2])
 
 
 def faces(p: Polytope) -> list[Polytope]:
@@ -559,67 +630,26 @@ def lattice_volume(p: Polytope, frame: AffineLatticeFrame) -> Fraction:
     return volume([frame.coordinates(v) for v in p.vertices])
 
 
-def homogeneous(point: Sequence[Fraction]) -> tuple[int, int, int]:
-    """A rational point (x, y) as the reduced integer triple (X, Y, W), W > 0."""
-    x, y = point
-    w = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
-
-
-def clip_homogeneous(ring: list[tuple[int, int, int]],
-                     halfplanes: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Clip a counterclockwise ring of homogeneous points by integer halfplanes.
-
-    Points are reduced triples (X, Y, W) with W > 0 standing for (X/W, Y/W),
-    and a halfplane (a0, a1, c) means a0·x + a1·y <= c.  The sign of
-    a0·X + a1·Y - c·W is the side of the point, and the crossing of an edge pq
-    is sq·p - sp·q, so the clip is exact on Python ints.  Reduced triples are
-    equal exactly when the points are, so the ring is the one the same clip
-    gives over the rationals.
-    """
-    cur = ring
-    for a0, a1, c in halfplanes:
-        if not cur:
-            return []
-        vals = [a0 * x + a1 * y - c * w for x, y, w in cur]
-        nxt: list[tuple[int, int, int]] = []
-        m = len(cur)
-        for i in range(m):
-            p, sp = cur[i], vals[i]
-            j = i + 1 if i + 1 < m else 0
-            sq = vals[j]
+def clip_polygon(poly: list[Vec], halfplanes: Sequence[Halfspace]) -> list[Vec]:
+    """Clip a counterclockwise 2-d polygon by halfplanes a.x <= c, exactly
+    (Sutherland–Hodgman on Fractions): the possibly degenerate clipped ring,
+    with repeated points dropped, and empty when the intersection is."""
+    ring = [vec(p) for p in poly]
+    for a, c in halfplanes:
+        if not ring:
+            break
+        vals = [dot(a, p) - c for p in ring]
+        nxt: list[Vec] = []
+        for i, (p, sp) in enumerate(zip(ring, vals)):
+            q, sq = ring[(i + 1) % len(ring)], vals[(i + 1) % len(ring)]
             if sp <= 0:
                 nxt.append(p)
-            if (sp < 0 < sq) or (sq < 0 < sp):
-                q = cur[j]
-                x = sq * p[0] - sp * q[0]
-                y = sq * p[1] - sp * q[1]
-                w = sq * p[2] - sp * q[2]
-                if w < 0:
-                    x, y, w = -x, -y, -w
-                g = math.gcd(x, y, w)
-                nxt.append((x // g, y // g, w // g))
-        dedup: list[tuple[int, int, int]] = []
-        for pt in nxt:
-            if not dedup or pt != dedup[-1]:
-                dedup.append(pt)
-        if len(dedup) > 1 and dedup[0] == dedup[-1]:
-            dedup.pop()
-        cur = dedup
-    return cur
-
-
-def clip_polygon(poly: list[Vec], halfplanes: Sequence[Halfspace]) -> list[Vec]:
-    """Clip a counterclockwise 2-d polygon by halfplanes a.x <= c, exactly.
-
-    Returns the (possibly degenerate) clipped vertex ring; empty when the
-    intersection is empty.  The work is done by clip_homogeneous.
-    """
-    int_planes = []
-    for (a0, a1), c in halfplanes:
-        den = math.lcm(a0.denominator, a1.denominator, c.denominator)
-        int_planes.append((a0.numerator * (den // a0.denominator),
-                           a1.numerator * (den // a1.denominator),
-                           c.numerator * (den // c.denominator)))
-    ring = clip_homogeneous([homogeneous(p) for p in poly], int_planes)
-    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in ring]
+            if sp * sq < 0:
+                nxt.append(tuple(x + sp / (sp - sq) * (y - x) for x, y in zip(p, q)))
+        ring = []
+        for p in nxt:
+            if not ring or p != ring[-1]:
+                ring.append(p)
+        if len(ring) > 1 and ring[0] == ring[-1]:
+            ring.pop()
+    return ring

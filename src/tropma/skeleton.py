@@ -15,7 +15,6 @@ as the per-face flag `abelian_nondegenerate`.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -23,8 +22,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from . import linalg
 from .cocycle import Cocycle
 from .linalg import Mat, Vec, dot, vec, vsub
-from .plfunc import AffinePiece, PeriodicPLFunction, _certified_cell
-from .polyhedra import AffineLatticeFrame, Polytope, hull, volume
+from .plfunc import AffinePiece, PeriodicPLFunction, integer_pieces
+from .polyhedra import AffineLatticeFrame, Polytope, envelope_clip, graph_point, hull, volume
 from .value import Value, setfield
 
 if TYPE_CHECKING:       # `degree` runs none of `ma`, so the measures import it where used
@@ -175,54 +174,27 @@ def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
                         tuple(max(col) for col in zip(*(hi for _, hi in boxes))))
 
 
-@functools.lru_cache(maxsize=4)
-def _pullback_function(pieces: tuple[AffinePiece, ...]) -> PeriodicPLFunction:
-    """The pullback of the metric to a face, as the function of its pieces:
-    one per piece list, so the face's atoms and the degree at each of its
-    vertices share one scan."""
-    return PeriodicPLFunction(None, pieces)
-
-
-def _atom_volume(h: PeriodicPLFunction, y: Vec) -> Fraction:
-    """The atom mass of the pullback h at y: the volume of the hull of the
-    argmax slopes (`polyhedra.volume`)."""
-    _, arg = h.scan_for(y, y).eval(y)
-    return volume(sorted({h.pieces[i].m for i in arg}))
-
-
 def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
                     ) -> list[tuple[Vec, Fraction]]:
     """Atoms (frame coordinates, dual volume) of MA(metric∘f_aff) in relint,
     given the pullback pieces of the metric on the face.
 
-    The candidates are the vertices of the certified cells of the pullback
-    over the carrier's padded box; an atom's mass is the volume of the hull
-    of the argmax slopes (`polyhedra.volume`), which on frame coordinates of
-    the saturated frame is the lattice volume of the dual, and zero unless
-    the dual is full-dimensional.
+    The candidates are the vertices of one lifted clip of the pullback's
+    graph over the carrier's box (`envelope_clip`), off the box's facets.  A
+    vertex's tight set is its argmax set, so its mass is the volume of the
+    hull of their slopes (`polyhedra.volume`): on frame coordinates of the
+    saturated frame the lattice volume of the dual, zero unless the dual is
+    full-dimensional.
     """
-    h = _pullback_function(tuple(pieces))
     carr_y = hull([face.frame.coordinates(v) for v in face.carrier.vertices])
-    lo, hi = carr_y.bbox()
-    pad = max(x - y for x, y in zip(hi, lo)) / 4 + Fraction(1, 97)
-    box_lo = tuple(x - pad for x in lo)
-    box_hi = tuple(x + pad for x in hi)
-    scan = h.scan_for(box_lo, box_hi)
-
-    candidates: set[Vec] = set()
-    for i in range(len(scan.entries)):
-        pts = _certified_cell(scan, i, box_lo, box_hi)
-        if pts is None:
-            continue
-        candidates.update(pts)
     out = []
-    for y in sorted(candidates):
-        if not carr_y.contains_relint(y):
-            continue
-        vol = _atom_volume(h, y)
-        if vol:
-            out.append((y, vol))
-    return out
+    for x, tight in zip(*envelope_clip(integer_pieces(pieces)[1], *carr_y.bbox())):
+        y = graph_point(x)
+        if min(tight) >= 0 and carr_y.contains_relint(y):
+            vol = volume(sorted({pieces[i].m for i in tight}))
+            if vol:
+                out.append((y, vol))
+    return sorted(out)
 
 
 def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Measure:
@@ -286,11 +258,12 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
                   pieces: Optional[Sequence[AffinePiece]] = None) -> Fraction:
     """Degree of the component at a pullback vertex, (d!/e!)·deg_H·atom mass.
 
-    The atom mass is the volume of the hull of the pullback's argmax slopes
-    at xi, as in `_pullback_atoms`.  The vertex must be transversal: the face
-    of the metric's complex through f_aff(xi) has codimension dim(carrier),
-    read off the tie rank there (`_tie_face_dim`) with no cell walk.
-    `pieces` are the face's pullback pieces, built here when not given.
+    The atom mass is the volume of the hull of the slopes of the pieces
+    attaining the pullback's max at xi, as in `_pullback_atoms`.  The vertex
+    must be transversal: the face of the metric's complex through f_aff(xi)
+    has codimension dim(carrier), read off the tie rank there
+    (`_tie_face_dim`) with no cell walk.  `pieces` are the face's pullback
+    pieces, built here when not given.
     """
     xi = vec(xi)
     if not face.carrier.contains_relint(xi):
@@ -299,7 +272,9 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
 
     if pieces is None:
         pieces = _pullback_pieces(spec.cocycle, metric, face)
-    vol = _atom_volume(_pullback_function(tuple(pieces)), y)
+    vals = [p.value(y) for p in pieces]
+    top = max(vals)
+    vol = volume(sorted({p.m for p, v in zip(pieces, vals) if v == top}))
     if not vol:
         raise ValueError("xi is not a vertex of the pullback complex")
 

@@ -222,9 +222,9 @@ def test_criterion_9_negative_controls(tate, two_tate):
     decomp, cmap, _ = linearity_cells(f)
     assert check_cocycle_rule(f)
     bad = Cocycle.make([[1]], [[1]], [F(1, 2) + F(1, 7)])
-    clone = PeriodicPLFunction(bad, f.pieces,
-                               cells=PeriodicDecomposition(bad, decomp.cells),
-                               cell_pieces=tuple(cmap[i] for i in range(len(cmap))))
+    clone = PeriodicPLFunction(bad, f.pieces)
+    # the decomposition cached for the uncorrupted cocycle, now stale
+    clone._cells_cache = (PeriodicDecomposition(bad, decomp.cells), cmap, None)
     assert not check_cocycle_rule(clone)
 
     # skipping the perturbation stage leaves a cell vertex on Σ

@@ -6,9 +6,9 @@ translates over a fundamental box, intersected) is kept here as the
 reference.  `plfunc.check_transversal` works on canonical faces and shifts σ, on
 integers; the reference rebuilds the faces of every translate, shifted, and
 tests each pair with the Fraction criterion on saturated frames, in the order
-the check gives its rows.  The cell walk builds
-each cell from its certificate's incidence (`plfunc._cell_from_ties`), which
-must equal `hull` of the certified points field by field.
+the check gives its rows.  Each cell is built
+from the tight sets of its vertices in the lifted clip (`plfunc._cell_from_ties`),
+which must equal `hull` of those vertices field by field.
 """
 
 import random
@@ -28,7 +28,8 @@ from tropma.plfunc import (AffinePiece, _cell_from_ties, _certified_cell,
                            _fundamental_bbox, _ring2d, _shifts_meeting,
                            _translates_meeting, check_transversal, evaluate,
                            translate_piece)
-from tropma.polyhedra import Polytope, _canon_ineq, clip_polygon, hull, intersect
+from tropma.polyhedra import (Polytope, _canon_ineq, clip_polygon, envelope_clip, hull,
+                              intersect)
 
 # Every example still runs and is checked; only a failure's report goes
 # unshrunk, since shrinking these examples takes minutes.
@@ -280,12 +281,13 @@ def test_incidence_cells_equal_the_hull_of_their_points(c, k, seed):
         box_lo = tuple(a - collar for a in flo)
         box_hi = tuple(b + collar for b in fhi)
         scan = f.scan_for(box_lo, box_hi)
+        clipped = envelope_clip(scan._ints, box_lo, box_hi)
         for ei in range(0, len(scan.entries), 4):
-            got = _certified_cell(scan, ei, box_lo, box_hi, incidence=True)
+            got = _certified_cell(clipped, ei)
             if got is None:
                 continue
             pts, args = got
-            if any(v[i] in (box_lo[i], box_hi[i]) for v in pts for i in range(2)):
+            if any(j < 0 for arg in args for j in arg):     # on a box facet
                 continue
             assert_same_polytope(_cell_from_ties(scan, ei, pts, args), hull(pts))
 

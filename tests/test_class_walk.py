@@ -1,10 +1,12 @@
-"""The Λ-class cell walk against the per-translate walk it replaced.
+"""The cells of the lifted clip against the walks it replaced.
 
-`_walk_cells` certifies one translate per class of representatives and reads
-the tie at the canonical translate of its cell.  The walk that certified every
-translate it met, and kept the cells meeting the fundamental domain, is kept
-here as the reference; over random polarized 2-D cocycles both must give the
-same cells, the same cell pieces and the same strict flag.
+`linearity_cells` reads the cells off one lifted clip of the envelope's graph
+and keeps those with a canonical barycenter.  Two walks are kept as
+references: the Λ-class walk it replaced, which certified one translate per
+class of representatives (`walk_reference.reference_cells`), and the older
+walk that certified every translate it met and kept the cells meeting the
+fundamental domain.  Over random polarized cocycles all must give the same
+cells, the same cell pieces and the same strict flag.
 """
 
 from fractions import Fraction as F
@@ -13,13 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_strict_skip import polarized_cocycles
+from walk_reference import certified_cell, reference_cells, touches_box
 
 import tropma.plfunc as pl
 from tropma import Cocycle, PeriodicPLFunction, jsonio, tangent_pl
 from tropma.linalg import dot
 from tropma.plfunc import (AffinePiece, CellWalkError, PeriodicDecomposition, _CollarTooSmall,
-                           _EnvelopeScan, _certified_cell, _default_collar, _fundamental_bbox,
-                           _nearest_indices, _ring2d, _touches_box, linearity_cells,
+                           _default_collar, _fundamental_bbox, _ring2d, linearity_cells,
                            translate_piece)
 from tropma.ma import ma_pl
 from tropma.polyhedra import clip_polygon, hull, volume
@@ -52,11 +54,11 @@ def reference_walk(f, dom, flo, fhi, collar):
     canonical = {}
     while queue:
         ei = queue.pop()
-        pts = _certified_cell(scan, ei, box_lo, box_hi)
+        pts = certified_cell(scan, ei, box_lo, box_hi)
         if pts is None:
             continue
         meets_dom = bool(clip_polygon(dom_ring, _cell_halfplanes(pts)))
-        if _touches_box(pts, box_lo, box_hi):
+        if touches_box(pts, box_lo, box_hi):
             if meets_dom:
                 raise _CollarTooSmall()
             continue
@@ -96,8 +98,8 @@ def reference_walk(f, dom, flo, fhi, collar):
             dict(enumerate(canonical[k][1] for k in keys)), strict)
 
 
-def reference_cells(f):
-    """linearity_cells' collar loop around the reference walk."""
+def per_translate_cells(f):
+    """The collar loop around the per-translate walk."""
     c = f.cocycle
     flo, fhi = _fundamental_bbox(c)
     collar = _default_collar(f)
@@ -112,10 +114,11 @@ def reference_cells(f):
 
 def assert_same_walk(c, pieces):
     got = linearity_cells(PeriodicPLFunction(c, pieces))
-    want = reference_cells(PeriodicPLFunction(c, pieces))
-    assert got[0].cells == want[0].cells
-    assert got[1] == want[1]
-    assert got[2] == want[2]
+    for want in (per_translate_cells(PeriodicPLFunction(c, pieces)),
+                 reference_cells(PeriodicPLFunction(c, pieces))):
+        assert got[0].cells == want[0].cells
+        assert got[1] == want[1]
+        assert got[2] == want[2]
     return got
 
 
@@ -155,21 +158,17 @@ def test_one_certificate_per_piece_when_strict(two_tate, monkeypatch):
         assert len(calls) == k * k
 
 
-def test_a_function_read_from_json_gets_the_same_seeds(two_tate):
-    # the seeds come from the pieces' slopes alone, which the JSON round trip keeps
+def test_a_function_read_from_json_gets_the_same_cells(two_tate):
+    # the clip reads only the scan's integer entries, which the JSON round trip keeps
     f = tangent_pl(two_tate, 3)
     g = jsonio.dec_function(jsonio.loads(jsonio.dumps(jsonio.enc_function(f))))
-    box = (F(-1), F(-1)), (F(2), F(2))
-    sf, sg = _EnvelopeScan(f, *box), _EnvelopeScan(g, *box)
-    assert [e.piece for e in sf.entries] == [e.piece for e in sg.entries]
-    for ei in range(len(sf.entries)):
-        seeds = _nearest_indices(sg, ei, 32)
-        assert seeds and seeds == _nearest_indices(sf, ei, 32)
+    got, want = linearity_cells(g), linearity_cells(PeriodicPLFunction(f.cocycle, f.pieces))
+    assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
 
 
 def test_first_collar_restarts(monkeypatch):
-    # the first collar is two cell widths: no 2-D tangent mesh restarts its
-    # walk, nor id3, and skew3 restarts once at mesh 2, as with three widths
+    # the first collar is 5/9 of two cell widths: no tangent mesh below
+    # restarts, where the two-width walk restarted skew3 once at mesh 2
     restarts = []
     original = pl._walk_cells
 
@@ -185,7 +184,7 @@ def test_first_collar_restarts(monkeypatch):
     cases = [(Cocycle.make(i2, i2, [F(1, 2)] * 2), (1, 2, 3), (0, 0, 0)),
              (Cocycle.make(i2, [[2, 1], [1, 2]], [1, 1]), (1, 2, 3), (0, 0, 0)),
              (Cocycle.make(i3, i3, [F(1, 2)] * 3), (1, 2), (0, 0)),
-             (Cocycle.make(i3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [1, 1, 1]), (1, 2), (0, 1))]
+             (Cocycle.make(i3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [1, 1, 1]), (1, 2), (0, 0))]
     for c, ks, most in cases:
         for k, bound in zip(ks, most):
             restarts.clear()

@@ -1,18 +1,18 @@
-"""The integer clips against the Fraction code they replaced.
+"""The integer clip and the ring clip against the Fraction code they replaced.
 
 `polyhedra.clip` is one double-description step per row on homogeneous
-integer points with their incidence; it certifies every cell, caps pairs of
-polytopes (`intersect`) and checks Σ-transversality.  `vertices_of_hrep`,
+integer points with their incidence; the lifted clip of every cell
+(`envelope_clip`) runs on it, and it caps pairs of polytopes (`intersect`)
+and checks Σ-transversality.  `vertices_of_hrep`,
 which solved every n-subset of the constraints by Cramer's rule, is kept
 here as its reference: on seeded random bounded integer systems in n = 2
 and 3 the two give the same vertex sets, clipping by A then B is clipping
 by A + B, and every returned tight set is the incidence recomputed
 directly from the rows.
 
-`clip_polygon` converts its ring to homogeneous integer points and its
-halfplanes to integer rows, and `clip_homogeneous` does the clip on Python
-ints.  The Fraction clip it replaced is kept here as the reference; the two
-must give the same ring, point for point and in the same order.
+`clip_polygon`, which no code of the package calls any more, clips a ring by
+Sutherland–Hodgman on Fractions; the Fraction clip kept here must give the
+same ring, point for point and in the same order.
 """
 
 import itertools
@@ -29,7 +29,7 @@ from tropma import linalg
 from tropma.linalg import dot
 from tropma.plfunc import _ring2d
 from tropma.polyhedra import (_cap_vertices, _int_det, _int_halfspace, _rational, _reduced, clip,
-                              clip_homogeneous, clip_polygon, faces, homogeneous, hull)
+                              clip_polygon, faces, hull)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -124,18 +124,6 @@ def test_each_halfplane_alone_matches(case):
     for hp in halfplanes:
         assert clip_polygon(ring, [hp]) == reference_clip(ring, [hp])
 
-
-def test_homogeneous_points_are_reduced():
-    assert homogeneous((F(1, 2), F(1, 3))) == (3, 2, 6)
-    assert homogeneous((F(-2, 4), F(0))) == (-1, 0, 2)
-    assert homogeneous((F(3), F(-5))) == (3, -5, 1)
-
-
-def test_clip_homogeneous_crossing_is_reduced():
-    # the unit square cut by x <= 1/2 on integers: (1/2, 0) is (1, 0, 2)
-    square = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
-    assert clip_homogeneous(square, [(2, 0, 1)]) == [(0, 0, 1), (1, 0, 2), (1, 2, 2), (0, 1, 1)]
-    assert clip_homogeneous(square, [(1, 0, -1)]) == []
 
 
 # -- the n-dimensional clip ---------------------------------------------------------

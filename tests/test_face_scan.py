@@ -1,12 +1,11 @@
 """One envelope scan per call for the skeleton commands.
 
 `skeleton-measure`, `mass-check` and `degree` request the metric's envelope
-scan once, for the union of the nondegenerate faces' image boxes (`degree`
-walks the metric's cells first and reads the walk's scan), and each face's
-pullback re-prunes it to the face's own box.  Counting tests check the single
+scan once, for the union of the nondegenerate faces' image boxes, and each
+face's pullback re-prunes it to the face's own box.  Counting tests check the single
 build; a property checks that the re-pruned pullback gives the atoms of a
-fresh scan per face; and an n = 3 `skeleton-measure` gives the same bytes
-under `python -O`.
+fresh scan per face; and an n = 3 `skeleton-measure` and `degree` give the
+same bytes under `python -O`.
 """
 
 import itertools
@@ -151,7 +150,8 @@ def test_repruned_pullback_gives_the_atoms_of_a_fresh_scan(data):
 
 
 def test_optimized_python_gives_the_same_n3_skeleton_measure(tmp_path):
-    # the n = 3 scan and pullback certificates are explicit checks, so -O changes nothing
+    # the n = 3 scan and the pullback's lifted clip are explicit checks, so -O
+    # changes neither the measure nor the degrees
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"cocycle": ID3, "d": 2, "faces": [
         _square("sq01", 3, (0, 1), ["1/8", "1/7", "1/9"]),
@@ -160,14 +160,17 @@ def test_optimized_python_gives_the_same_n3_skeleton_measure(tmp_path):
     metric = tmp_path / "f.json"
     metric.write_text(jsonio.dumps(_tangent_function(jsonio.dec_cocycle(ID3), 2)))
     src = Path(__file__).resolve().parents[1] / "src"
-    outs = []
-    for flags in ([], ["-O"]):
-        p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", "skeleton-measure",
-                            "--in", str(spec), "--metric", str(metric)],
-                           capture_output=True, timeout=120,
-                           env={**os.environ, "PYTHONPATH": str(src)})
-        assert p.returncode == 0, p.stderr
-        outs.append(p.stdout)
-    assert outs[0] == outs[1]
+    outs = {}
+    for command in ("skeleton-measure", "degree"):
+        for flags in ([], ["-O"]):
+            p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", command,
+                                "--in", str(spec), "--metric", str(metric)],
+                               capture_output=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+            assert p.returncode == 0, p.stderr
+            outs.setdefault(command, []).append(p.stdout)
+        assert outs[command][0] == outs[command][1]
     # three unit squares in coordinate planes of b = I: mass 2!·1·1 each
-    assert sum(F(a["mass"]) for a in json.loads(outs[0])["atoms"]) == 6
+    measure, degrees = (json.loads(outs[c][0]) for c in ("skeleton-measure", "degree"))
+    assert sum(F(a["mass"]) for a in measure["atoms"]) == 6
+    assert F(degrees["total"]) == 6 and len(degrees["degrees"]) == len(measure["atoms"])

@@ -398,8 +398,7 @@ def test_floats_only_where_allowed():
     import ast
     from pathlib import Path
 
-    allowed = {"jsonio.dec_q",              # rejects floats on input
-               "plfunc.check_periodic"}     # bbox prefilter for input decompositions
+    allowed = {"jsonio.dec_q"}              # rejects floats on input
     pkg = Path(__file__).resolve().parents[1] / "src" / "tropma"
     found = []
 

@@ -114,9 +114,9 @@ class TestCheckCocycleRule:
         f = tangent_pl(tate, 1)
         decomp, cmap, _ = linearity_cells(f)
         bad = Cocycle.make([[1]], [[1]], [F(1, 2) + F(1, 7)])
-        clone = PeriodicPLFunction(bad, f.pieces,
-                                   cells=PeriodicDecomposition(bad, decomp.cells),
-                                   cell_pieces=tuple(cmap[i] for i in range(len(cmap))))
+        clone = PeriodicPLFunction(bad, f.pieces)
+        # the decomposition cached for the uncorrupted cocycle, now stale
+        clone._cells_cache = (PeriodicDecomposition(bad, decomp.cells), cmap, None)
         assert not check_cocycle_rule(clone)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropma import Cocycle, PeriodicPLFunction, cli, jsonio, linearity_cells, tangent_pl
-from tropma import plfunc, skeleton
+from tropma import plfunc
 from tropma.approx import perturb_generic
 from tropma.linalg import dot
 from tropma.plfunc import AffinePiece, _dim_of_points, _translates_meeting
@@ -111,9 +111,10 @@ def test_degree_on_a_surface_in_a_threefold(c, tmp_path, capsys):
     assert degrees["total"] == measure["total"]
 
 
-def test_degree_builds_one_pullback_scan_per_face(tmp_path, capsys, monkeypatch):
-    # a face's atoms and the degree at each of its vertices share the face's
-    # pullback function, so `degree` builds one pullback scan per face
+def test_degree_builds_no_pullback_scan(tmp_path, capsys, monkeypatch):
+    # a face's atoms come from one lifted clip of its pullback pieces and the
+    # degree at a vertex from a max over those pieces, so `degree` builds no
+    # envelope scan of a pullback
     built = []
     original = plfunc._EnvelopeScan.__init__
 
@@ -123,9 +124,8 @@ def test_degree_builds_one_pullback_scan_per_face(tmp_path, capsys, monkeypatch)
         original(self, f, lo, hi)
 
     monkeypatch.setattr(plfunc._EnvelopeScan, "__init__", counting)
-    skeleton._pullback_function.cache_clear()
     spec, metric = surface_in_a_threefold(SKEW3, tmp_path)
     assert cli.main(["degree", "--in", str(spec), "--metric", str(metric)]) == 0
     rows = json.loads(capsys.readouterr().out)["degrees"]
     assert len(rows) > 3
-    assert len(built) == 3
+    assert built == []

@@ -5,10 +5,10 @@ Fraction code they replaced.
 The flag-chain volume it replaced (one simplex per flag of faces, spanned by
 the face barycenters, with Fraction determinants) is kept here as the
 reference, and so is the old dual volume at a point: Fraction hull, then its
-saturated frame, then flag chains.  `_certified_cell` clips on homogeneous
-integers (`polyhedra.clip`) and returns exactly the cell's vertices; the 2-D
-Fraction certificate (Fraction ring clip, rank test, Fraction argmax) is the
-second reference.
+saturated frame, then flag chains.  `_certified_cell` reads a cell off the
+lifted integer clip of the envelope's graph (`polyhedra.envelope_clip`) and
+returns exactly the cell's vertices; the 2-D Fraction certificate (Fraction
+ring clip, rank test, Fraction argmax) is the second reference.
 """
 
 import math
@@ -19,14 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_clip_kernel import reference_clip
 from test_strict_skip import polarized_cocycles
+from walk_reference import nearest_indices
 
 from tropma import PeriodicPLFunction, linearity_cells, tangent_pl
 from tropma.linalg import det, rank, vsub
 from tropma.ma import _atom_at
-from tropma.plfunc import (AffinePiece, _certified_cell, _default_collar, _fundamental_bbox,
-                           _nearest_indices, evaluate)
-from tropma.polyhedra import (AffineLatticeFrame, FrameMismatchError, hull, lattice_volume,
-                              volume)
+from tropma.plfunc import AffinePiece, _certified_cell, _default_collar, _fundamental_bbox, evaluate
+from tropma.polyhedra import (AffineLatticeFrame, FrameMismatchError, envelope_clip, hull,
+                              lattice_volume, volume)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -224,11 +224,13 @@ def test_integer_certificate_matches_fraction_certificate(c, k, shifts):
     # neighbours (cells and entries that attain nowhere) and the far ends
     seed = scan.eval(c.fundamental_domain().barycenter())[1]
     far = list(range(len(scan.entries)))
-    chosen = dict.fromkeys([*seed, *_nearest_indices(scan, seed[0], 8), far[0], far[-1]])
+    chosen = dict.fromkeys([*seed, *nearest_indices(scan, seed[0], 8), far[0], far[-1]])
+    clipped = envelope_clip(scan._ints, box_lo, box_hi)
     cells = 0
     for ei in chosen:
-        got = _certified_cell(scan, ei, box_lo, box_hi)
-        seeded = fraction_certified_cell(scan, ei, box_lo, box_hi, _nearest_indices(scan, ei, 32))
+        cell = _certified_cell(clipped, ei)
+        got = None if cell is None else cell[0]
+        seeded = fraction_certified_cell(scan, ei, box_lo, box_hi, nearest_indices(scan, ei, 32))
         unseeded = fraction_certified_cell(scan, ei, box_lo, box_hi)
         assert (got is None) == (seeded is None) == (unseeded is None)
         if got is not None:
@@ -255,7 +257,8 @@ def test_a_piece_attaining_on_an_edge_only_has_no_cell(two_tate):
     scan = f.scan_for(box_lo, box_hi)
     touching = [i for i in scan.eval(mid)[1] if scan.entries[i].rep_index == len(base)]
     assert touching
+    clipped = envelope_clip(scan._ints, box_lo, box_hi)
     for ei in touching:
-        assert _certified_cell(scan, ei, box_lo, box_hi) is None
-        for init in ((), _nearest_indices(scan, ei, 32)):
+        assert _certified_cell(clipped, ei) is None
+        for init in ((), nearest_indices(scan, ei, 32)):
             assert fraction_certified_cell(scan, ei, box_lo, box_hi, init) is None
