@@ -17,10 +17,9 @@ from typing import Optional, Sequence
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .linalg import Mat, Vec, dot, vec
-from .plfunc import (CertificateError, PeriodicPLFunction, _translates_meeting, evaluate,
-                     linearity_cells)
-from .polyhedra import (AffineLatticeFrame, Polytope, envelope_clip, graph_point, hull,
-                        lattice_volume, volume)
+from .plfunc import CertificateError, PeriodicPLFunction, _fundamental_bbox
+from .polyhedra import (AffineLatticeFrame, Polytope, envelope_atoms, envelope_clip, graph_point,
+                        hull, lattice_volume)
 from .value import Value, setfield
 
 
@@ -113,59 +112,33 @@ def subdifferential(f: PeriodicPLFunction, xi: Sequence) -> Subdifferential:
     return Subdifferential(xi, dual)
 
 
-def _atom_at(f: PeriodicPLFunction, xi: Vec) -> Fraction:
-    """Dual-volume mass at a point: the volume of the hull of the argmax
-    slopes (`polyhedra.volume`), zero when the dual is lower-dimensional.
-
-    A full-dimensional dual's saturated frame is a basis of Z^n, so its
-    lattice volume is its Euclidean volume.
-    """
-    _, arg = evaluate(f, xi)
-    return volume(sorted({e.piece.m for e in arg}))
-
-
 def ma_pl(f: PeriodicPLFunction, region: Optional[Polytope] = None) -> Measure:
-    """Monge-Ampere measure of a convex PL function: atoms at complex vertices.
+    """Monge-Ampere measure of a convex PL function: atoms at complex vertices,
+    read off one lifted clip of f's graph over a box (`envelope_atoms`).
 
-    With region=None the measure is reported per fundamental domain: one atom
-    per Λ-orbit of vertices, each orbit counted once via its representative in
-    the half-open fundamental parallelepiped.  Its total mass is then checked
-    against det(b)·covol(Λ), the volume of M_R/bΛ that the subdifferentials
-    over a fundamental domain tile, since ∂f(ω+λ) = ∂f(ω) + bλ; a mismatch
-    raises CertificateError.  With an explicit region, atoms sit at the
-    complex vertices contained in the (closed) region.
+    With region=None the box is the fundamental parallelepiped's, and one
+    atom per Λ-orbit of vertices is kept: its representative in the half-open
+    parallelepiped.  The total mass is then checked against det(b)·covol(Λ),
+    the volume of M_R/bΛ that the subdifferentials over a fundamental domain
+    tile, since ∂f(ω+λ) = ∂f(ω) + bλ; a mismatch raises CertificateError.
+    With an explicit region the box is the region's, and the atoms are the
+    complex vertices in the (closed) region.
     """
     c = f.cocycle
-    n = f.n
-    if region is not None and region.ambient_dim != n:
+    if c is None:
+        raise ValueError("ma needs a periodic function: the input has no cocycle")
+    if region is not None and region.ambient_dim != f.n:
         raise ValueError(f"the region lies in R^{region.ambient_dim} but the function "
-                         f"in R^{n}")
-    decomp, _, _ = linearity_cells(f)
-    points: list[Vec] = []
-    if region is None:
-        seen = set()
-        for cell in decomp.cells:
-            for v in cell.vertices:
-                vc, _ = c.canonicalize(v)
-                if vc not in seen:
-                    seen.add(vc)
-                    points.append(vc)
-    else:
-        lo, hi = region.bbox()
-        seen = set()
-        for _, _, t in _translates_meeting(decomp, lo, hi):
-            for v in t.vertices:
-                if v not in seen and region.contains(v):
-                    seen.add(v)
-                    points.append(v)
-    atoms = []
-    for xi in sorted(points):
-        mass = _atom_at(f, xi)
-        if mass > 0:
-            atoms.append(Atom(xi, mass))
+                         f"in R^{f.n}")
+    lo, hi = _fundamental_bbox(c) if region is None else region.bbox()
+    scan = f.scan_for(lo, hi)
+    keep = region.contains if region is not None else lambda y: c.canonicalize(y)[0] == y
+    atoms = tuple(Atom(y, mass) for y, mass in
+                  envelope_atoms(scan._ints, [e.piece.m for e in scan.entries], lo, hi)
+                  if keep(y))
     if region is None and sum(a.mass for a in atoms) != linalg.det(c.b) * c.covolume():
         raise CertificateError("MA mass over a fundamental domain is not det(b)·covol(Λ)")
-    return Measure(atoms=tuple(atoms))
+    return Measure(atoms=atoms)
 
 
 def ma_quadratic_restricted(c: Cocycle, linear: Mat, offset: Sequence,

@@ -398,6 +398,24 @@ def envelope_clip(ints: Sequence[tuple[Sequence[int], int]], box_lo: Vec, box_hi
     return [pts[i] for i in keep], [tight[i] for i in keep]
 
 
+def envelope_atoms(ints: Sequence[tuple[Sequence[int], int]], slopes: Sequence[Vec],
+                   box_lo: Vec, box_hi: Vec) -> list[tuple[Vec, Fraction]]:
+    """The Monge-Ampère atoms (y, mass) of F = max_i (m_i·y + c_i) on the box,
+    sorted, for integer entries (m_i, c_i) with rational slopes slopes[i]: the
+    vertices of one `envelope_clip` whose mass is positive.  A vertex's entry
+    ids (those >= 0) are its argmax set, so its mass is the `volume` of the
+    hull of their slopes, zero unless that dual is full-dimensional, i.e.
+    unless y is a vertex of the complex F induces.  A full-dimensional dual's
+    saturated frame is a basis of Z^n, so this is its lattice volume.
+    """
+    out = []
+    for x, tight in zip(*envelope_clip(ints, box_lo, box_hi)):
+        mass = volume(sorted({slopes[i] for i in tight if i >= 0}))
+        if mass:
+            out.append((graph_point(x), mass))
+    return sorted(out)
+
+
 def _rows_reaching(points: Sequence[tuple[int, ...]], rows: Sequence[tuple], bound: int
                    ) -> list[tuple]:
     """The rows (id, a, c) with v = a·X - c·W >= 0 at some point (X, W); a

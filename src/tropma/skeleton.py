@@ -23,7 +23,7 @@ from . import linalg
 from .cocycle import Cocycle
 from .linalg import Mat, Vec, dot, vec, vsub
 from .plfunc import AffinePiece, PeriodicPLFunction, integer_pieces
-from .polyhedra import AffineLatticeFrame, Polytope, envelope_clip, graph_point, hull, volume
+from .polyhedra import AffineLatticeFrame, Polytope, envelope_atoms, hull, volume
 from .value import Value, setfield
 
 if TYPE_CHECKING:       # `degree` runs none of `ma`, so the measures import it where used
@@ -179,22 +179,15 @@ def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
     """Atoms (frame coordinates, dual volume) of MA(metric∘f_aff) in relint,
     given the pullback pieces of the metric on the face.
 
-    The candidates are the vertices of one lifted clip of the pullback's
-    graph over the carrier's box (`envelope_clip`), off the box's facets.  A
-    vertex's tight set is its argmax set, so its mass is the volume of the
-    hull of their slopes (`polyhedra.volume`): on frame coordinates of the
-    saturated frame the lattice volume of the dual, zero unless the dual is
-    full-dimensional.
+    They are the atoms of one lifted clip of the pullback's graph over the
+    carrier's box (`envelope_atoms`) in the carrier's relative interior; a
+    box facet meets the carrier only on its boundary.  On frame coordinates
+    of the saturated frame a mass is the lattice volume of the dual.
     """
     carr_y = hull([face.frame.coordinates(v) for v in face.carrier.vertices])
-    out = []
-    for x, tight in zip(*envelope_clip(integer_pieces(pieces)[1], *carr_y.bbox())):
-        y = graph_point(x)
-        if min(tight) >= 0 and carr_y.contains_relint(y):
-            vol = volume(sorted({pieces[i].m for i in tight}))
-            if vol:
-                out.append((y, vol))
-    return sorted(out)
+    return [(y, vol) for y, vol in envelope_atoms(integer_pieces(pieces)[1],
+                                                   [p.m for p in pieces], *carr_y.bbox())
+            if carr_y.contains_relint(y)]
 
 
 def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Measure:

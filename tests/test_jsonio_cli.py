@@ -568,8 +568,9 @@ def test_optimized_python_gives_the_same_artifact(tmp_path):
 
 
 def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):
-    # ma --fundamental and degree run the integer 2-D certificate and the
-    # volume kernel; both are explicit checks, so python -O changes nothing
+    # ma --fundamental, ma --region and degree run the lifted clip and the
+    # volume kernel, and ma's mass check; explicit checks all, so python -O
+    # changes nothing
     import os
     import subprocess
     import sys
@@ -580,9 +581,14 @@ def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):
     spec.write_text(json.dumps({"cocycle": ID2, "d": 2, "faces": [SQUARE_FACE]}))
     metric = tmp_path / "f.json"
     metric.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 3))))
+    region = tmp_path / "r.json"
+    region.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
     calls = [["ma", "--in", str(metric), "--fundamental"],
+             ["ma", "--in", str(metric), "--region", str(region)],
              ["degree", "--in", str(spec), "--metric", str(metric)]]
-    for argv in calls:
+    # det(b)·covol(Λ) = 1 per fundamental domain; the unit square holds the
+    # nine vertices of mesh 3, of mass 1/9 each, and carries 2!·1 on the face
+    for argv, total in zip(calls, (1, 1, 2)):
         outs = []
         for flags in ([], ["-O"]):
             p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", *argv],
@@ -591,14 +597,14 @@ def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):
             assert p.returncode == 0, p.stderr
             outs.append(p.stdout)
         assert outs[0] == outs[1]
-        # det(b)·covol(Λ) = 1 per fundamental domain; the unit square carries 2!·1
-        assert F(json.loads(outs[0])["total"]) == (1 if argv[0] == "ma" else 2)
+        assert F(json.loads(outs[0])["total"]) == total
 
 
 def test_optimized_python_gives_the_same_3d_mass(tmp_path):
-    # ma --fundamental on the id3 mesh-2 metric runs the n = 3 cell walk, the
-    # tiling's volume check and the mass check: explicit checks all, so
-    # python -O changes nothing
+    # ma --fundamental on the id3 mesh-2 metric runs the n = 3 lifted clip,
+    # the volume kernel and the mass check, and on the id3 cocycle at --k 2
+    # also tangent_pl's n = 3 cell walk: explicit checks all, so python -O
+    # changes nothing
     import os
     import subprocess
     import sys
@@ -609,15 +615,18 @@ def test_optimized_python_gives_the_same_3d_mass(tmp_path):
     c = jsonio.dec_cocycle({"n": 3, "periods": i3, "b": i3, "z0": ["1/2"] * 3})
     metric = tmp_path / "f.json"
     metric.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(c, 2))))
-    outs = []
-    for flags in ([], ["-O"]):
-        p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", "ma", "--in", str(metric),
-                            "--fundamental"], capture_output=True, timeout=60,
-                           env={**os.environ, "PYTHONPATH": str(src)})
-        assert p.returncode == 0, p.stderr
-        outs.append(p.stdout)
-    assert outs[0] == outs[1]
-    assert F(json.loads(outs[0])["total"]) == 1
+    cocycle = tmp_path / "c.json"
+    cocycle.write_text(json.dumps(jsonio.enc_cocycle(c)))
+    for argv in (["--in", str(metric)], ["--in", str(cocycle), "--k", "2"]):
+        outs = []
+        for flags in ([], ["-O"]):
+            p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", "ma", *argv,
+                                "--fundamental"], capture_output=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+            assert p.returncode == 0, p.stderr
+            outs.append(p.stdout)
+        assert outs[0] == outs[1]
+        assert F(json.loads(outs[0])["total"]) == 1
 
 
 class TestMeasureInputs:
@@ -652,6 +661,21 @@ class TestMeasureInputs:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err == {"kind": "validation",
                        "message": "the region lies in R^3 but the function in R^2"}
+
+    @pytest.mark.parametrize("flag", ["--fundamental", "--region"])
+    def test_function_with_no_cocycle(self, tmp_path, capsys, flag):
+        # a function of R^2 with no cocycle has no periodic measure
+        fp = tmp_path / "f.json"
+        fp.write_text(json.dumps({"pieces": [{"m": [0, 0], "c": 0}, {"m": [1, 0], "c": "-1/2"}]}))
+        rp = tmp_path / "r.json"
+        rp.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
+        argv = ["ma", "--in", str(fp)] + ([flag] if flag == "--fundamental" else [flag, str(rp)])
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)["error"]
+        assert err == {"kind": "validation",
+                       "message": "ma needs a periodic function: the input has no cocycle"}
+        assert captured.err == ""
 
     def test_region_and_fundamental_exclude_each_other(self, tmp_path, two_tate_json, capsys):
         # the region was read and then ignored
@@ -692,19 +716,36 @@ def test_ma_fundamental_checks_its_total_mass(two_tate_json, capsys, monkeypatch
     # is a certificate failure, not an artifact
     import tropma.ma as ma
 
-    original = ma._atom_at
-    calls = []
+    original = ma.envelope_atoms
 
     def drops_the_first(*args):
-        calls.append(args)
-        return F(0) if len(calls) == 1 else original(*args)
+        return original(*args)[1:]
 
     assert cli.main(["ma", "--in", two_tate_json, "--k", "2", "--fundamental"]) == 0
     assert json.loads(capsys.readouterr().out)["total"] == 1
-    monkeypatch.setattr(ma, "_atom_at", drops_the_first)
+    monkeypatch.setattr(ma, "envelope_atoms", drops_the_first)
     assert cli.main(["ma", "--in", two_tate_json, "--k", "2", "--fundamental"]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["kind"] == "algorithmic" and "det(b)" in err["message"]
+
+
+def test_ma_reads_no_cells(tmp_path, capsys, monkeypatch, two_tate):
+    # the atoms come off one lifted clip with their tight sets, so ma walks
+    # no cells and scores no point through the scan
+    import tropma.plfunc as pl
+
+    fp = tmp_path / "f.json"
+    fp.write_text(jsonio.dumps(jsonio.enc_function(tangent_pl(two_tate, 3))))
+    rp = tmp_path / "r.json"
+    rp.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+    calls = []
+    walk, score = pl._walk_cells, pl._EnvelopeScan.eval
+    monkeypatch.setattr(pl, "_walk_cells", lambda *a: calls.append("walk") or walk(*a))
+    monkeypatch.setattr(pl._EnvelopeScan, "eval", lambda *a: calls.append("eval") or score(*a))
+    for flags in (["--fundamental"], ["--region", str(rp)]):
+        assert cli.main(["ma", "--in", str(fp), *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["atoms"]
+    assert calls == []
 
 
 def test_degree_walks_no_cells(tmp_path, capsys, monkeypatch, two_tate):

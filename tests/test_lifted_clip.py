@@ -6,7 +6,9 @@ a vertex's tight set is its argmax set with the box facets it lies on.  Three
 callers read it: `linearity_cells`, `skeleton._pullback_atoms` and
 `ma.subdifferential`.  Each is compared with the code it replaced
 (`walk_reference`) over random polarized cocycles in n = 2 and n = 3, tangent
-and perturbed.  The kernel itself is compared with a brute-force argmax and
+and perturbed; `ma_pl` reads its atoms off the same clip
+(`polyhedra.envelope_atoms`) and is compared with the atoms of the cell
+vertices, scored through `evaluate`, in n = 1 to 3.  The kernel itself is compared with a brute-force argmax and
 with the union of the old per-entry certificates, and the collar restart is
 pinned on a box that cuts a canonical cell.
 """
@@ -18,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 from test_scan_kernel import cocycles
-from walk_reference import (certified_cell, reference_cells, reference_pullback_atoms,
-                            reference_subdifferential)
+from walk_reference import (certified_cell, reference_cells, reference_ma_pl,
+                            reference_pullback_atoms, reference_subdifferential)
 
 import tropma.plfunc as pl
 from tropma import Cocycle, PeriodicPLFunction, tangent_pl
@@ -51,15 +53,15 @@ def functions(draw, dims=(2, 3)):
     perturbed or not.  In n = 3 the periods are the standard basis and the
     mesh is 1, which keeps the walk of the reference affordable."""
     n = draw(st.sampled_from(dims))
-    if n == 2:
-        c = draw(cocycles().filter(lambda c: c.n == 2))
+    if n < 3:
+        c = draw(cocycles().filter(lambda c: c.n == n))
     else:
         low = [[1 if i == j else (draw(st.integers(-1, 1)) if j < i else 0) for j in range(3)]
                for i in range(3)]
         b = [[sum(low[i][t] * low[j][t] for t in range(3)) for j in range(3)] for i in range(3)]
         c = Cocycle.make([[int(i == j) for j in range(3)] for i in range(3)], b,
                          [draw(small_q) for _ in range(3)])
-    pieces = tangent_pl(c, draw(st.integers(1, 3 if n == 2 else 1))).pieces
+    pieces = tangent_pl(c, draw(st.integers(1, 3 if n < 3 else 1))).pieces
     if draw(st.booleans()):
         pieces = perturbed(pieces, draw(st.integers(0, 10 ** 6)))
     return c, pieces
@@ -226,6 +228,64 @@ def test_pullback_atoms_match_the_certified_cells(data, draw):
     face = draw.draw(faces(c.n))
     pulled = _pullback_pieces(c, PeriodicPLFunction(c, pieces), face)
     assert _pullback_atoms(face, pulled) == reference_pullback_atoms(face, pulled)
+
+
+# -- Monge-Ampere atoms --------------------------------------------------------------
+
+
+@st.composite
+def regions(draw, n):
+    """None, or a random region near the fundamental domain: a simplex or
+    a segment, whose vertices are random or quarter-integer points, so that
+    complex vertices fall on its boundary as well as inside."""
+    if draw(st.booleans()):
+        return None
+    q = st.builds(F, st.integers(-2, 6), st.sampled_from([4, 3]))
+    count = draw(st.sampled_from([2, n + 1]))
+    return hull([tuple(draw(q) for _ in range(n)) for _ in range(count)])
+
+
+@SETTINGS
+@given(functions(dims=(1, 2)), st.data())
+def test_atoms_match_the_cell_vertices(data, draw):
+    c, pieces = data
+    region = draw.draw(regions(c.n))
+    assert ma_pl(PeriodicPLFunction(c, pieces), region) == \
+        reference_ma_pl(PeriodicPLFunction(c, pieces), region)
+
+
+@settings(SETTINGS, max_examples=5)
+@given(functions(dims=(3,)), st.data())
+def test_atoms_match_the_cell_vertices_in_3d(data, draw):
+    c, pieces = data
+    region = draw.draw(regions(3))
+    assert ma_pl(PeriodicPLFunction(c, pieces), region) == \
+        reference_ma_pl(PeriodicPLFunction(c, pieces), region)
+
+
+@pytest.mark.parametrize("periods, b", [([[1, 0], [1, 2]], [[1, 0], [0, 1]]),
+                                        ([[2, 1], [0, 1]], [[2, 1], [1, 2]])])
+def test_atoms_match_with_skew_periods(periods, b):
+    c = Cocycle.make(periods, b, [F(1, 3), F(1, 2)])
+    for k in (2, 3):
+        pieces = tangent_pl(c, k).pieces
+        for region in (None, c.fundamental_domain()):
+            for ps in (pieces, perturbed(pieces, k)):
+                got = ma_pl(PeriodicPLFunction(c, ps), region)
+                assert got == reference_ma_pl(PeriodicPLFunction(c, ps), region)
+
+
+def test_a_closed_region_keeps_the_vertices_on_its_boundary(two_tate):
+    # at mesh 2 the complex of b = I is the grid of quarter-odd lines, so the
+    # square [1/4, 3/4]² has a vertex at each corner and none inside; the
+    # half-open domain holds the four of one fundamental domain
+    f = tangent_pl(two_tate, 2)
+    square = hull([(F(1, 4), F(1, 4)), (F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)),
+                   (F(3, 4), F(3, 4))])
+    corners = [a.at for a in ma_pl(f, square).atoms]
+    assert corners == sorted(square.vertices)
+    assert [a.at for a in ma_pl(f).atoms] == corners
+    assert all(a.mass == F(1, 4) for a in ma_pl(f, square).atoms)
 
 
 # -- subdifferentials ----------------------------------------------------------------

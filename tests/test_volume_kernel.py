@@ -23,7 +23,7 @@ from walk_reference import nearest_indices
 
 from tropma import PeriodicPLFunction, linearity_cells, tangent_pl
 from tropma.linalg import det, rank, vsub
-from tropma.ma import _atom_at
+from tropma.ma import ma_pl
 from tropma.plfunc import AffinePiece, _certified_cell, _default_collar, _fundamental_bbox, evaluate
 from tropma.polyhedra import (AffineLatticeFrame, FrameMismatchError, envelope_clip, hull,
                               lattice_volume, volume)
@@ -168,15 +168,21 @@ def test_volume_small_cases():
 @given(polarized_cocycles(), st.integers(1, 2),
        st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_atom_masses_match_the_hull_frame_dual_volume(c, k, shifts):
+    # ma_pl's atoms are exactly the canonical cell vertices whose dual has
+    # positive hull-frame volume, with that volume as mass
     base = tangent_pl(c, k).pieces
     pieces = [AffinePiece(p.m, p.c + F(s, 64)) for p, s in zip(base, shifts)]
     f = PeriodicPLFunction(c, pieces + list(base[len(shifts):]))
     decomp, _, _ = linearity_cells(f)
-    points = {v for cell in decomp.cells for v in cell.vertices}
+    points = {c.canonicalize(v)[0] for cell in decomp.cells for v in cell.vertices}
     points |= {cell.barycenter() for cell in decomp.cells}
+    want = []
     for xi in sorted(points):
         slopes = sorted({e.piece.m for e in evaluate(f, xi)[1]})
-        assert _atom_at(f, xi) == reference_dual_volume(slopes, 2)
+        mass = reference_dual_volume(slopes, 2)
+        if mass:
+            want.append((xi, mass))
+    assert [(a.at, a.mass) for a in ma_pl(f).atoms] == want
 
 
 # -- the 2-D cell certificate ------------------------------------------------------

@@ -6,8 +6,9 @@ the box by the rows of its 32 nearest entries and growing them until every
 vertex passes the envelope certificate, then shifted to its canonical
 translate.  `reference_pullback_atoms` certifies every pullback piece over the
 carrier's padded box, and `reference_subdifferential` certifies the argmax
-translates' cells around the point.  The tests compare the lifted clip with
-them.
+translates' cells around the point.  `reference_ma_pl` gathers the vertices
+of the cells of linearity and scores each through `evaluate`.  The tests
+compare the lifted clip with them.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from fractions import Fraction
 from tropma import linalg
 from tropma.errors import CellWalkError, CertificateError
 from tropma.linalg import dot, vsub
+from tropma.ma import Atom, Measure
 from tropma.plfunc import (PeriodicDecomposition, PeriodicPLFunction, _CollarTooSmall,
-                           _cell_from_ties, _default_collar, _fundamental_bbox, _int_argmax)
+                           _cell_from_ties, _default_collar, _fundamental_bbox, _int_argmax,
+                           _translates_meeting, evaluate, linearity_cells)
 from tropma.polyhedra import _rational, _reduced, box_corners, clip, hull, volume
 
 
@@ -180,3 +183,26 @@ def reference_subdifferential(f, xi):
                 if fw - fxi < dot(vsub(w, xi), u):
                     raise CertificateError("subdifferential certificate failed")
     return dual
+
+
+def reference_ma_pl(f, region=None):
+    """The atoms at the canonical vertices of the cells of linearity (region
+    None) or at the vertices of their translates in the region, each scored
+    through `evaluate`, with the fundamental domain's mass check."""
+    c = f.cocycle
+    decomp, _, _ = linearity_cells(f)
+    points = set()
+    if region is None:
+        for cell in decomp.cells:
+            points.update(c.canonicalize(v)[0] for v in cell.vertices)
+    else:
+        for _, _, t in _translates_meeting(decomp, *region.bbox()):
+            points.update(v for v in t.vertices if region.contains(v))
+    atoms = []
+    for xi in sorted(points):
+        mass = volume(sorted({e.piece.m for e in evaluate(f, xi)[1]}))
+        if mass > 0:
+            atoms.append(Atom(xi, mass))
+    if region is None and sum(a.mass for a in atoms) != linalg.det(c.b) * c.covolume():
+        raise CertificateError("MA mass over a fundamental domain is not det(b)·covol(Λ)")
+    return Measure(atoms=tuple(atoms))
