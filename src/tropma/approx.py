@@ -170,7 +170,9 @@ def barycentric_strictify(f: PeriodicPLFunction, delta: Fraction) -> PeriodicPLF
     affine pieces.  The result is accepted only when the envelope reproduces
     every intended vertex value and each barycentric simplex has a unique
     winning piece; otherwise the offset and its grading shrink and the
-    construction retries.
+    construction retries.  The result's cells are walked like any function's
+    (`linearity_cells`).  f − g is affine on each barycentric simplex and
+    largest at a cell barycenter, so sup |f − g| is the top-face drop.
 
     The first offset is at most the margin by which each cell's piece wins
     at its own barycenter (`_min_winning_gap`), the scale of the cells'
@@ -189,7 +191,6 @@ def barycentric_strictify(f: PeriodicPLFunction, delta: Fraction) -> PeriodicPLF
     for _attempt in range(10):
         g = _build_barycentric(f, decomp, cell_pieces, delta_t, ratio)
         if g is not None:
-            g.strictify_bound = delta_t
             return g
         delta_t = delta_t / 2
         ratio = ratio * 4
@@ -206,9 +207,7 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
 
     pieces: list[AffinePiece] = []
     centers: list[Vec] = []
-    simplices: list[Polytope] = []
     targets: dict[Vec, Fraction] = {}
-    from .polyhedra import hull
 
     for idx, cell in enumerate(decomp.cells):
         p = cell_pieces[idx]
@@ -237,7 +236,6 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
             m, cc = sol[:-1], sol[-1]
             pieces.append(AffinePiece(tuple(m), cc))
             centers.append(tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts)))
-            simplices.append(hull(pts))
 
     g = PeriodicPLFunction(c, pieces)
     scan = g.working_scan()
@@ -256,9 +254,6 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
         val, arg = scan.eval(center)
         if len(arg) != 1 or val != piece.value(center):
             return None
-
-    g._cells_cache = (PeriodicDecomposition(c, tuple(simplices)),
-                      dict(enumerate(pieces)), True)
     return g
 
 
@@ -444,8 +439,9 @@ def approximate(req: ApproxRequest
 
     The tangent mesh is the coarsest whose gap fits eps/2.  Strictification
     runs only when the cell walk does not certify the stage-1 function as
-    strictly convex: it then gets half of what stage 1 left, and the
-    perturbation the other half; otherwise the perturbation gets all of it.
+    strictly convex: it then gets half of what stage 1 left, its error is the
+    certified `_sup_diff`, and the perturbation gets the other half;
+    otherwise the perturbation gets all of it.
     The certificate's bound is the exact sum of the certified stage errors,
     hence < eps.
     """
@@ -469,8 +465,9 @@ def approximate(req: ApproxRequest
     stage2 = None
     if not linearity_cells(f1)[2]:
         rest = rest / 2
-        f1 = barycentric_strictify(f1, rest)
-        stage2 = f1.strictify_bound
+        f2 = barycentric_strictify(f1, rest)
+        stage2 = _sup_diff(f1, f2)
+        f1 = f2
 
     f3, cert = perturb_generic(f1, req.sigma, rest, req.rng_seed, req.max_retries)
     decomp3, _, _ = linearity_cells(f3)

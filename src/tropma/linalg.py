@@ -43,10 +43,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
@@ -221,16 +217,6 @@ def int_nullspace(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return basis
 
 
-def _primitive_int_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational row to a primitive integer row (gcd of entries = 1)."""
-    den = math.lcm(*(x.denominator for x in row)) if row else 1
-    ints = [int(x * den) for x in row]
-    g = math.gcd(*ints) if any(ints) else 1
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """Basis of {x in Z^n : rows @ x = 0} via unimodular column reduction."""
     m = len(rows)
@@ -272,8 +258,7 @@ def lattice_basis_of_span(vectors: Sequence[Sequence[Fraction]], n: int) -> list
     ann = nullspace(vs, n)
     if not ann:
         return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    int_rows = [_primitive_int_row(u) for u in ann]
-    kern = integer_kernel(int_rows, n)
+    kern = integer_kernel(_int_rows(ann), n)
     out = []
     for k in kern:
         lead = next((v for v in k if v != 0), 1)

@@ -103,8 +103,8 @@ class PeriodicPLFunction:
 
         The last scan is reused while its box covers [lo, hi]; otherwise one
         scan is built for the union of the two boxes and replaces it.  A
-        caller with several boxes requests their union once and re-prunes it
-        per box with `_EnvelopeScan.entries_on`.
+        caller with several boxes requests their union once and reads every
+        box off it.
         """
         if self._scan is not None and self._scan.covers(lo, hi):
             return self._scan
@@ -147,8 +147,7 @@ class _EnvelopeScan:
     entries equals the envelope exactly anywhere in the box, ties included.
     The per-entry data is integerized over a common denominator so the hot
     comparison loop runs on Python ints; `_enumerate_entries` builds it from
-    the same integers it scores the translates with.  `entries_on` re-prunes
-    the entries to a smaller box inside this one.
+    the same integers it scores the translates with.
     """
 
     def __init__(self, f: PeriodicPLFunction, lo: Vec, hi: Vec):
@@ -169,25 +168,6 @@ class _EnvelopeScan:
     def covers(self, lo: Vec, hi: Vec) -> bool:
         return all(a <= b for a, b in zip(self.lo, lo)) and \
             all(a >= b for a, b in zip(self.hi, hi))
-
-    def entries_on(self, lo: Vec, hi: Vec) -> list[TranslatedPiece]:
-        """The entries that can attain the envelope on the box [lo, hi] inside
-        this scan's box, by the scan's own pruning rule (`_may_attain`).
-
-        The minorants are the first argmax entries at the grid points of
-        [lo, hi]; the entries are in (rep, k) order, so they are the same
-        translates `_enumerate_entries` takes as minorants for that box.
-        """
-        if not self.covers(lo, hi):
-            raise ValueError("the box is not inside the scan's box")
-        corners = box_corners(lo, hi)
-        dw = linalg.common_denominator(x for w in corners for x in w)
-        ws = [tuple(_scaled_int(x, dw) for x in w) for w in corners]
-        vals = [[sum(a * b for a, b in zip(m, w)) + ci * dw for w in ws]
-                for m, ci in self._ints]
-        floors = [vals[i] for i in sorted({self.eval(gp)[1][0]
-                                           for gp in _grid_points(lo, hi)})]
-        return [e for e, v in zip(self.entries, vals) if _may_attain(v, floors)]
 
     def eval(self, point: Vec) -> tuple[Fraction, tuple[int, ...]]:
         """Exact envelope value and the indices of all entries attaining it."""

@@ -16,14 +16,16 @@ as the per-face flag `abelian_nondegenerate`.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from . import linalg
 from .cocycle import Cocycle
 from .linalg import Mat, Vec, dot, vec, vsub
-from .plfunc import AffinePiece, PeriodicPLFunction, integer_pieces
-from .polyhedra import AffineLatticeFrame, Polytope, envelope_atoms, hull, volume
+from .plfunc import PeriodicPLFunction, _EnvelopeScan
+from .polyhedra import (AffineLatticeFrame, Polytope, envelope_clip, graph_point, hull,
+                        volume)
 from .value import Value, setfield
 
 if TYPE_CHECKING:       # `degree` runs none of `ma`, so the measures import it where used
@@ -142,30 +144,28 @@ def _image_box(face: SkeletonFace) -> tuple[Vec, Vec]:
     return tuple(min(col) for col in cols), tuple(max(col) for col in cols)
 
 
-def _pullback_pieces(c: Cocycle, metric: PeriodicPLFunction,
-                     face: SkeletonFace) -> list[AffinePiece]:
-    """Pieces of metric ∘ f_aff on frame coordinates of the carrier.
+def _pullback_pieces(scan: _EnvelopeScan, face: SkeletonFace
+                     ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """metric ∘ f_aff on frame coordinates as integer rows over one common
+    denominator D: (D, [D·(m·L, m·t + c)]), one per entry (m, c) of the
+    metric's scan, in the scan's order.
 
-    The metric's scan covering the bounding box of the carrier's tropical
-    image is re-pruned to that box (`_EnvelopeScan.entries_on`), so the finite
-    max equals the pullback exactly on the carrier.
+    The scan holds every translate that attains the metric on its box, so
+    where the carrier's image lies in that box the max of the rows is the
+    pullback exactly, and the rows attaining it at y are the entries
+    attaining the metric at f_aff(y).
     """
-    box = _image_box(face)
-    k = face.frame.dim
-    seen = {}
-    for e in metric.scan_for(*box).entries_on(*box):
-        m = e.piece.m
-        slope = tuple(sum(m[i] * face.f_aff_linear[i][j] for i in range(len(m)))
-                      for j in range(k))
-        const = dot(m, face.f_aff_offset) + e.piece.c
-        seen[(slope, const)] = AffinePiece(slope, const)
-    return sorted(seen.values(), key=lambda p: (p.m, p.c))
+    dt = linalg.common_denominator(face.f_aff_offset)
+    t = [int(x * dt) for x in face.f_aff_offset]
+    cols = [[int(x) * dt for x in col] for col in zip(*face.f_aff_linear)]
+    return scan.den * dt, [(tuple(sum(map(operator.mul, m, col)) for col in cols),
+                            sum(map(operator.mul, m, t), c * dt)) for m, c in scan._ints]
 
 
 def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
     """Request the metric's envelope scan once, for the union of the image
-    boxes of the nondegenerate faces; each face's pullback then re-prunes it
-    to its own box instead of growing it face by face."""
+    boxes of the nondegenerate faces; each face's pullback then reads it
+    instead of growing it face by face."""
     if isinstance(metric, str):
         return
     boxes = [_image_box(f) for f in spec.faces if check_nondegenerate(spec, f)]
@@ -174,20 +174,34 @@ def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
                         tuple(max(col) for col in zip(*(hi for _, hi in boxes))))
 
 
-def _pullback_atoms(face: SkeletonFace, pieces: Sequence[AffinePiece]
-                    ) -> list[tuple[Vec, Fraction]]:
-    """Atoms (frame coordinates, dual volume) of MA(metric∘f_aff) in relint,
-    given the pullback pieces of the metric on the face.
+def _pullback_atoms(face: SkeletonFace, metric: PeriodicPLFunction
+                    ) -> list[tuple[Vec, Fraction, int]]:
+    """(y, mass, tie dimension) at each atom of MA(metric∘f_aff) in the
+    carrier's relative interior, y in frame coordinates, sorted.
 
-    They are the atoms of one lifted clip of the pullback's graph over the
-    carrier's box (`envelope_atoms`) in the carrier's relative interior; a
-    box facet meets the carrier only on its boundary.  On frame coordinates
-    of the saturated frame a mass is the lattice volume of the dual.
+    The atoms are the vertices of one lifted clip of the pullback's rows
+    (`_pullback_pieces`) over the carrier's box (`envelope_clip`) that lie in
+    the relative interior, where no box facet is tight, and have positive
+    mass.  A vertex's tight ids are the metric's argmax set at f_aff(y): its
+    mass is the volume of their pulled-back slopes, on frame coordinates of
+    the saturated frame a lattice volume, and the face of the metric's
+    complex through f_aff(y) is where they all tie, of dimension
+    n − rank{m_j − m_i} over their metric slopes.
     """
+    scan = metric.scan_for(*_image_box(face))
+    den, rows = _pullback_pieces(scan, face)
     carr_y = hull([face.frame.coordinates(v) for v in face.carrier.vertices])
-    return [(y, vol) for y, vol in envelope_atoms(integer_pieces(pieces)[1],
-                                                   [p.m for p in pieces], *carr_y.bbox())
-            if carr_y.contains_relint(y)]
+    out = []
+    for x, tight in zip(*envelope_clip(rows, *carr_y.bbox())):
+        y = graph_point(x)
+        if not carr_y.contains_relint(y):
+            continue
+        ids = [i for i in tight if i >= 0]
+        mass = volume(sorted({rows[i][0] for i in ids})) / den ** face.frame.dim
+        if mass:
+            ms = [scan._ints[i][0] for i in ids]
+            out.append((y, mass, metric.n - linalg.rank([vsub(m, ms[0]) for m in ms[1:]])))
+    return sorted(out)
 
 
 def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Measure:
@@ -207,10 +221,8 @@ def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Meas
         mu = ma_quadratic_restricted(spec.cocycle, face.f_aff_linear,
                                      face.f_aff_offset, face.carrier, face.frame)
         return mu.scaled(scale, label=face.id)
-    atoms = []
-    for y, vol in _pullback_atoms(face, _pullback_pieces(spec.cocycle, metric, face)):
-        atoms.append(Atom(face.frame.embed(y), scale * vol, label=face.id))
-    return Measure(atoms=tuple(atoms))
+    return Measure(atoms=tuple(Atom(face.frame.embed(y), scale * mass, label=face.id)
+                               for y, mass, _ in _pullback_atoms(face, metric)))
 
 
 def face_measures(spec: SkeletonSpec, metric: Metric) -> list[tuple[SkeletonFace, Measure]]:
@@ -229,13 +241,21 @@ def assemble_measure(spec: SkeletonSpec, metric: Metric) -> Measure:
     return out
 
 
+def _degree(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunction,
+            mass: Fraction, tie_dim: int) -> Fraction:
+    """(d!/e!)·deg_H·mass at a pullback vertex whose metric face has
+    codimension dim(carrier), the transversal case."""
+    if metric.n - tie_dim != face.carrier.dim:
+        raise ValueError("non-transversal vertex")
+    return _scale(spec, face) * mass
+
+
 def face_degrees(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunction
                  ) -> list[tuple[Vec, Fraction]]:
     """(vertex, degree) at every pullback vertex in the face's relative
-    interior, with the pullback built once for the whole face."""
-    pieces = _pullback_pieces(spec.cocycle, metric, face)
-    return [(xi, vertex_degree(spec, face, metric, xi, pieces))
-            for xi in (face.frame.embed(y) for y, _ in _pullback_atoms(face, pieces))]
+    interior, off one clip of the face's pullback."""
+    return [(face.frame.embed(y), _degree(spec, face, metric, mass, tie))
+            for y, mass, tie in _pullback_atoms(face, metric)]
 
 
 def skeleton_degrees(spec: SkeletonSpec, metric: PeriodicPLFunction
@@ -247,42 +267,22 @@ def skeleton_degrees(spec: SkeletonSpec, metric: PeriodicPLFunction
 
 
 def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
-                  metric: PeriodicPLFunction, xi: Sequence,
-                  pieces: Optional[Sequence[AffinePiece]] = None) -> Fraction:
-    """Degree of the component at a pullback vertex, (d!/e!)·deg_H·atom mass.
+                  metric: PeriodicPLFunction, xi: Sequence) -> Fraction:
+    """Degree of the component at a pullback vertex, (d!/e!)·deg_H·atom mass,
+    read off the face's pullback atoms (`_pullback_atoms`).
 
-    The atom mass is the volume of the hull of the slopes of the pieces
-    attaining the pullback's max at xi, as in `_pullback_atoms`.  The vertex
-    must be transversal: the face of the metric's complex through f_aff(xi)
-    has codimension dim(carrier), read off the tie rank there
-    (`_tie_face_dim`) with no cell walk.  `pieces` are the face's pullback
-    pieces, built here when not given.
+    xi must lie in the carrier's relative interior, be a vertex of the
+    pullback complex, and be transversal: the face of the metric's complex
+    through f_aff(xi) has codimension dim(carrier).
     """
     xi = vec(xi)
     if not face.carrier.contains_relint(xi):
         raise ValueError("xi must lie in the relative interior of the carrier")
     y = face.frame.coordinates(xi)
-
-    if pieces is None:
-        pieces = _pullback_pieces(spec.cocycle, metric, face)
-    vals = [p.value(y) for p in pieces]
-    top = max(vals)
-    vol = volume(sorted({p.m for p, v in zip(pieces, vals) if v == top}))
-    if not vol:
-        raise ValueError("xi is not a vertex of the pullback complex")
-
-    if metric.n - _tie_face_dim(metric, face.f_aff(y)) != face.carrier.dim:
-        raise ValueError("non-transversal vertex")
-    return _scale(spec, face) * vol
-
-
-def _tie_face_dim(metric: PeriodicPLFunction, x: Vec) -> int:
-    """Dimension of the face of the metric's complex whose relative interior
-    contains x.  Near x only the translates S attaining the metric compete, so
-    that face is where all of S tie: n − rank{m_j − m_i}, S from the scan."""
-    scan = metric.scan_for(x, x)
-    ms = [scan.entries[i].piece.m for i in scan.eval(x)[1]]
-    return metric.n - linalg.rank([vsub(m, ms[0]) for m in ms[1:]])
+    for at, mass, tie in _pullback_atoms(face, metric):
+        if at == y:
+            return _degree(spec, face, metric, mass, tie)
+    raise ValueError("xi is not a vertex of the pullback complex")
 
 
 def canonical_subset(spec: SkeletonSpec) -> tuple[list[str], Measure]:

@@ -8,9 +8,21 @@ from tropma import (AffinePiece, CellWalkError, PeriodicPLFunction, approximate,
                     check_transversal, evaluate, faces, hull, linearity_cells,
                     perturb_generic, tangent_pl)
 from tropma.approx import (ApproxRequest, PerturbationError,
-                           StrictificationError, genericity_conditions,
+                           StrictificationError, _sup_diff, genericity_conditions,
                            tangent_gap)
 from tropma.jsonio import enc_function
+
+
+def strictified(f, delta):
+    """barycentric_strictify(f, delta), with its certified sup error checked
+    against the top-face drop: f - g is affine on each barycentric simplex and
+    largest at a cell barycenter."""
+    g = barycentric_strictify(f, delta)
+    drops = {evaluate(f, b)[0] - evaluate(g, b)[0]
+             for b in (cell.barycenter() for cell in linearity_cells(f)[0].cells)}
+    assert len(drops) == 1 and 0 < min(drops) <= delta
+    assert _sup_diff(f, g) == min(drops)
+    return g
 
 
 def simplex_sigma():
@@ -59,7 +71,7 @@ class TestTangentPL:
 class TestBarycentricStrictify:
     def test_already_strict_stays_within_delta(self, tate):
         f = tangent_pl(tate, 1)
-        g = barycentric_strictify(f, F(1, 10))
+        g = strictified(f, F(1, 10))
         _, _, strict = linearity_cells(g)
         assert strict
         rng = random.Random(6)
@@ -69,21 +81,23 @@ class TestBarycentricStrictify:
             assert 0 <= diff <= F(1, 10)
 
     def test_tate_k1_gains_midpoint_vertices(self, tate):
-        g = barycentric_strictify(tangent_pl(tate, 1), F(1, 12))
+        # the cell [-1/2, 1/2] splits at its midpoint; the walk keeps the
+        # canonical translates of the halves
+        g = strictified(tangent_pl(tate, 1), F(1, 12))
         decomp, _, strict = linearity_cells(g)
         assert strict
         assert sorted(c.vertices for c in decomp.cells) == [
-            ((F(-1, 2),), (F(0),)), ((F(0),), (F(1, 2),))]
+            ((F(0),), (F(1, 2),)), ((F(1, 2),), (F(1),))]
 
     def test_duplicated_piece_tie_broken(self, tate):
         f = PeriodicPLFunction(tate, [AffinePiece((F(0),), F(0)),
                                       AffinePiece((F(0),), F(0))])
         assert not linearity_cells(f)[2]
-        g = barycentric_strictify(f, F(1, 8))
+        g = strictified(f, F(1, 8))
         assert linearity_cells(g)[2]
 
     def test_cocycle_rule_preserved(self, two_tate):
-        g = barycentric_strictify(tangent_pl(two_tate, 1), F(1, 12))
+        g = strictified(tangent_pl(two_tate, 1), F(1, 12))
         assert check_cocycle_rule(g)
 
     def test_rejects_nonpositive_delta(self, tate):
@@ -99,7 +113,7 @@ class TestBarycentricStrictify:
 
 class TestPerturbGeneric:
     def test_empty_sigma_first_draw(self, tate):
-        f = barycentric_strictify(tangent_pl(tate, 2), F(1, 12))
+        f = strictified(tangent_pl(tate, 2), F(1, 12))
         out, cert = perturb_generic(f, (), F(1, 12), seed=1, max_retries=50)
         assert cert.retries_used == 0
         assert cert.strictly_convex and cert.periodic
@@ -107,7 +121,7 @@ class TestPerturbGeneric:
 
     def test_sigma_point_at_origin_cleared(self, tate):
         # the strictified complex has a vertex at 0; perturbation must move it
-        f = barycentric_strictify(tangent_pl(tate, 1), F(1, 12))
+        f = strictified(tangent_pl(tate, 1), F(1, 12))
         decomp0, _, _ = linearity_cells(f)
         assert any(v == (F(0),) for c in decomp0.cells for v in c.vertices)
         origin = hull([(0,)])
@@ -117,7 +131,7 @@ class TestPerturbGeneric:
         assert cert.transversal.ok
 
     def test_diagonal_segment_2d(self, two_tate):
-        f = barycentric_strictify(tangent_pl(two_tate, 1), F(1, 12))
+        f = strictified(tangent_pl(two_tate, 1), F(1, 12))
         seg = hull([(0, 0), (1, 1)])
         out, cert = perturb_generic(f, (seg,), F(1, 12), seed=4, max_retries=50)
         assert cert.transversal.ok
@@ -155,7 +169,7 @@ class TestPerturbGeneric:
     def test_retries_exhausted(self, tate, monkeypatch):
         import tropma.approx as ax
         monkeypatch.setattr(ax, "_rand_frac", lambda rng, r, grain=4096: F(0))
-        f = barycentric_strictify(tangent_pl(tate, 1), F(1, 12))
+        f = strictified(tangent_pl(tate, 1), F(1, 12))
         origin = hull([(0,)])  # unperturbed complex has a vertex at 0
         with pytest.raises(PerturbationError, match="retries exhausted.*condition II"):
             perturb_generic(f, (origin,), F(1, 12), seed=0, max_retries=3)

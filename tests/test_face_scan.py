@@ -2,9 +2,9 @@
 
 `skeleton-measure`, `mass-check` and `degree` request the metric's envelope
 scan once, for the union of the nondegenerate faces' image boxes, and each
-face's pullback re-prunes it to the face's own box.  Counting tests check the single
-build; a property checks that the re-pruned pullback gives the atoms of a
-fresh scan per face; and an n = 3 `skeleton-measure` and `degree` give the
+face's pullback reads every entry of it.  Counting tests check the single
+build; a property checks that the shared scan gives the atoms of a fresh scan
+per face; and an n = 3 `skeleton-measure` and `degree` give the
 same bytes under `python -O`.
 """
 
@@ -26,8 +26,7 @@ from tropma.cocycle import Cocycle
 from tropma.linalg import dot
 from tropma.plfunc import AffinePiece, PeriodicPLFunction
 from tropma.polyhedra import AffineLatticeFrame, hull
-from tropma.skeleton import (SkeletonFace, SkeletonSpec, _image_box, _pullback_atoms,
-                             _pullback_pieces, _scan_faces)
+from tropma.skeleton import SkeletonFace, SkeletonSpec, _pullback_atoms, _scan_faces
 
 ID2 = {"n": 2, "periods": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]], "z0": ["1/2", "1/2"]}
 ID3 = {"n": 3, "periods": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -98,7 +97,7 @@ def test_one_scan_build_per_metric(two_faces, builds, capsys, argv):
         assert F(out["total"]) == 4
 
 
-# -- re-pruned pullback against a fresh scan per face ------------------------------
+# -- the shared scan against a fresh scan per face ---------------------------------
 
 small_q = st.builds(F, st.integers(-2, 2), st.integers(1, 4))
 
@@ -134,15 +133,15 @@ def skeletons(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(skeletons())
-def test_repruned_pullback_gives_the_atoms_of_a_fresh_scan(data):
+def test_shared_scan_gives_the_atoms_of_a_fresh_scan(data):
     spec, pieces = data
     c = spec.cocycle
     shared = PeriodicPLFunction(c, pieces)
     _scan_faces(spec, shared)
     scan = shared._scan
     for face in spec.faces:
-        want = _pullback_atoms(face, _pullback_pieces(c, PeriodicPLFunction(c, pieces), face))
-        assert _pullback_atoms(face, _pullback_pieces(c, shared, face)) == want
+        assert _pullback_atoms(face, shared) == \
+            _pullback_atoms(face, PeriodicPLFunction(c, pieces))
     assert shared._scan is scan
 
 

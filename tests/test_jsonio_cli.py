@@ -84,7 +84,7 @@ class TestRoundTrips:
                     decoders[path.name.split("_")[0]](json.loads(path.read_text()))
                     decoded += 1
         golden = os.path.join(root, "tests", "golden")
-        for name in sorted(os.listdir(golden)):
+        for name in sorted(n for n in os.listdir(golden) if n.startswith("approximate_")):
             with open(os.path.join(golden, name), encoding="utf-8") as fh:
                 data = json.load(fh)
             jsonio.dec_function(data["function"])

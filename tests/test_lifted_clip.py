@@ -6,7 +6,9 @@ a vertex's tight set is its argmax set with the box facets it lies on.  Three
 callers read it: `linearity_cells`, `skeleton._pullback_atoms` and
 `ma.subdifferential`.  Each is compared with the code it replaced
 (`walk_reference`) over random polarized cocycles in n = 2 and n = 3, tangent
-and perturbed; `ma_pl` reads its atoms off the same clip
+and perturbed; the pullback on random 1- and 2-D faces with integral
+linearizations, its atoms' tie ranks and degrees and both errors of
+`vertex_degree` included.  `ma_pl` reads its atoms off the same clip
 (`polyhedra.envelope_atoms`) and is compared with the atoms of the cell
 vertices, scored through `evaluate`, in n = 1 to 3.  The kernel itself is compared with a brute-force argmax and
 with the union of the old per-entry certificates, and the collar restart is
@@ -21,15 +23,18 @@ from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 from test_scan_kernel import cocycles
 from walk_reference import (certified_cell, reference_cells, reference_ma_pl,
-                            reference_pullback_atoms, reference_subdifferential)
+                            reference_pullback_atoms, reference_pullback_pieces,
+                            reference_subdifferential, reference_tie_face_dim,
+                            reference_vertex_degree)
 
 import tropma.plfunc as pl
-from tropma import Cocycle, PeriodicPLFunction, tangent_pl
+from tropma import Cocycle, PeriodicPLFunction, linalg, tangent_pl
 from tropma.ma import ma_pl, subdifferential
 from tropma.plfunc import (AffinePiece, _certified_cell, _CollarTooSmall,
                            _fundamental_bbox, _int_argmax, linearity_cells)
 from tropma.polyhedra import AffineLatticeFrame, envelope_clip, graph_point, hull
-from tropma.skeleton import SkeletonFace, _pullback_atoms, _pullback_pieces
+from tropma.skeleton import (SkeletonFace, SkeletonSpec, _pullback_atoms, face_degrees,
+                             vertex_degree)
 
 # Every example still runs and is checked; only a failure's report goes
 # unshrunk, since shrinking these examples takes minutes.
@@ -206,18 +211,22 @@ def test_restarts_are_counted_and_pinned(k, monkeypatch):
 
 @st.composite
 def faces(draw, n):
-    """A 2-D carrier, a small square or triangle at a random offset, mapped by a
-    random integral rank-2 linearization."""
+    """A segment, or a small square or triangle, at the origin of its chart,
+    mapped by a random integral linearization of full rank at a random
+    offset."""
+    k = draw(st.integers(1, 2))
     size = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
-    corners = [(0, 0), (size, 0), (0, size)] + ([(size, size)] if draw(st.booleans()) else [])
-    carrier = hull(corners)
-    frame = AffineLatticeFrame((F(0), F(0)), ((F(1), F(0)), (F(0), F(1))))
+    if k == 1:
+        corners = [(0,), (size,)]
+    else:
+        corners = [(0, 0), (size, 0), (0, size)] + ([(size, size)] if draw(st.booleans()) else [])
+    frame = AffineLatticeFrame((F(0),) * k, tuple(tuple(F(int(i == j)) for j in range(k))
+                                                  for i in range(k)))
     cols = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
-                         min_size=2, max_size=2))
-    assume(any(cols[0][i] * cols[1][j] != cols[0][j] * cols[1][i]
-               for i in range(n) for j in range(n)))
-    lin = tuple(tuple(F(cols[j][i]) for j in range(2)) for i in range(n))
-    return SkeletonFace("f", carrier, frame, 0, F(1), lin,
+                         min_size=k, max_size=k))
+    assume(linalg.rank(cols) == k)
+    lin = tuple(tuple(F(cols[j][i]) for j in range(k)) for i in range(n))
+    return SkeletonFace("f", hull(corners), frame, 0, F(1), lin,
                         tuple(draw(small_q) for _ in range(n)), True)
 
 
@@ -226,8 +235,42 @@ def faces(draw, n):
 def test_pullback_atoms_match_the_certified_cells(data, draw):
     c, pieces = data
     face = draw.draw(faces(c.n))
-    pulled = _pullback_pieces(c, PeriodicPLFunction(c, pieces), face)
-    assert _pullback_atoms(face, pulled) == reference_pullback_atoms(face, pulled)
+    metric = PeriodicPLFunction(c, pieces)
+    assert [(y, mass) for y, mass, _ in _pullback_atoms(face, metric)] == \
+        reference_pullback_atoms(face, reference_pullback_pieces(metric, face))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(SETTINGS, max_examples=25)
+@given(functions(), st.data())
+def test_degrees_and_tie_ranks_match_the_reference(data, draw):
+    # at each atom the clip's tie rank is the scan lookup's and the degree (or
+    # the non-transversal error) the per-vertex max's; at a relative-interior
+    # point off the atoms both raise that it is not a vertex
+    c, pieces = data
+    face = draw.draw(faces(c.n))
+    spec = SkeletonSpec(c, 2, (face,))
+    metric = PeriodicPLFunction(c, pieces)
+    atoms = _pullback_atoms(face, metric)
+    for y, _, tie in atoms:
+        assert tie == reference_tie_face_dim(metric, face.f_aff(y))
+    vertices = [face.frame.embed(y) for y, _, _ in atoms]
+    off = tuple((3 * a + 4 * b) / 7 for a, b in zip(face.carrier.barycenter(),
+                                                    face.carrier.vertices[0]))
+    pulled = reference_pullback_pieces(metric, face)
+    for xi in vertices + [face.carrier.barycenter(), off]:
+        assert outcome(vertex_degree, spec, face, metric, xi) == \
+            outcome(reference_vertex_degree, spec, face, metric, xi, pulled)
+    assert outcome(face_degrees, spec, face, metric) == outcome(
+        lambda: [(xi, reference_vertex_degree(spec, face, metric, xi, pulled))
+                 for xi in vertices])
 
 
 # -- Monge-Ampere atoms --------------------------------------------------------------

@@ -7,8 +7,7 @@ translate in (rep, k) order attaining the envelope at a point.  Both are
 compared here with a direct Fraction implementation of the bounding-box
 enumeration they replaced, translates included, over random small polarized
 cocycles (skew b included) in dimensions 1 to 3.  `_candidate_ks` is compared
-with a brute-force scan of the ellipsoids' bounding boxes, and
-`_EnvelopeScan.entries_on` with the argmax sets of the scan it re-prunes.
+with a brute-force scan of the ellipsoids' bounding boxes.
 """
 
 import itertools
@@ -22,7 +21,7 @@ from tropma import linalg
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot, vec, vsub
 from tropma.plfunc import (AffinePiece, PeriodicPLFunction, TranslatedPiece, _candidate_ks,
-                           _enumerate_entries, _grid_points, _point_envelope_entry)
+                           _enumerate_entries, _point_envelope_entry)
 from tropma.polyhedra import box_corners as _box_corners
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -177,25 +176,3 @@ def test_candidates_are_the_ellipsoid_points(data, offsets):
             want.add((pi, k))
     got, forms = _candidate_ks(f, corners, thresholds)
     assert got == want and forms is None
-
-
-@SETTINGS
-@given(functions_and_boxes(), st.lists(st.integers(0, 4), min_size=6, max_size=6))
-def test_reprune_keeps_every_attaining_entry(data, cuts):
-    # entries_on of a sub-box passes the pruning rule and loses no argmax entry
-    f, lo, hi = data
-    n = f.n
-    sub_lo = tuple(a + (b - a) * F(cuts[i], 8) for i, (a, b) in enumerate(zip(lo, hi)))
-    sub_hi = tuple(s + (b - s) * F(cuts[n + i], 8) for i, (s, b) in enumerate(zip(sub_lo, hi)))
-    corners = _box_corners(lo, hi)
-    t0 = max(min(p.value(x) for x in corners) for p in f.pieces)
-    assume(len(reference_candidates(f, corners, t0)[0]) <= 1500)
-    scan = f.scan_for(lo, hi)
-    kept = {(e.rep_index, e.k) for e in scan.entries_on(sub_lo, sub_hi)}
-    fresh = {(e.rep_index, e.k) for e in _enumerate_entries(f, sub_lo, sub_hi)}
-    pts = _box_corners(sub_lo, sub_hi) + _grid_points(sub_lo, sub_hi) + [
-        tuple(a + (b - a) * F(s, 5) for a, b, s in zip(sub_lo, sub_hi, steps))
-        for steps in itertools.product((1, 4), repeat=n)]
-    for y in pts:
-        top = {(scan.entries[i].rep_index, scan.entries[i].k) for i in scan.eval(y)[1]}
-        assert top <= kept and top <= fresh

@@ -1,10 +1,11 @@
 """`degree` reads the face dimension of the metric's complex off its tie set.
 
-`skeleton._tie_face_dim` is n − rank{m_j − m_i} over the translates tied at a
-point.  The translate lookup it replaced (the first walked cell translate
-containing the point, and its face cut out by the inequalities tight there)
-is kept here as the reference.  With no cell walk, `degree` on an n = 3
-metric fits tier-1.
+`skeleton._pullback_atoms` gives, at each pullback vertex, n − rank{m_j − m_i}
+over the translates tied in its tight set.  On a one-point face at x that is
+the dimension of the metric's face through x.  The translate lookup that
+the tie rank replaced (the first walked cell translate containing the point, and its face
+cut out by the inequalities tight there) is kept here as the reference.  With
+no cell walk, `degree` on an n = 3 metric fits tier-1.
 """
 
 import itertools
@@ -19,8 +20,8 @@ from tropma import plfunc
 from tropma.approx import perturb_generic
 from tropma.linalg import dot
 from tropma.plfunc import AffinePiece, _dim_of_points, _translates_meeting
-from tropma.polyhedra import faces
-from tropma.skeleton import _tie_face_dim
+from tropma.polyhedra import AffineLatticeFrame, faces, hull
+from tropma.skeleton import SkeletonFace, _pullback_atoms
 
 I2 = [[1, 0], [0, 1]]
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -41,6 +42,15 @@ def translate_face_dim(metric, x):
     raise AssertionError("x is not covered by the walked cells")
 
 
+def clip_face_dim(metric, x):
+    """The tie dimension of the one atom of a one-point face mapped to x."""
+    point = SkeletonFace("x", hull([(F(0),)]), AffineLatticeFrame((F(0),), ()), 0, F(1),
+                         ((),) * len(x), x, True)
+    [(_, mass, dim)] = _pullback_atoms(point, metric)
+    assert mass == 1
+    return dim
+
+
 COCYCLES = {"id2": ID2, "skew2": SKEW2, "id3": ID3}
 CASES = [(name, k, draw) for name in ("id2", "skew2") for k in (1, 2, 3)
          for draw in (False, True)] + [("id3", 1, False)]
@@ -49,8 +59,8 @@ CASES = [(name, k, draw) for name in ("id2", "skew2") for k in (1, 2, 3)
 @pytest.mark.parametrize("name,k,draw", CASES,
                          ids=[f"{n}-k{k}{'-draw' if d else ''}" for n, k, d in CASES])
 def test_tie_rank_matches_the_translate_lookup(name, k, draw):
-    # at every vertex and face barycenter of the walked cells the tie rank
-    # gives the face's own dimension, as the translate lookup does
+    # at every vertex and face barycenter of the walked cells the clip's tie
+    # rank gives the face's own dimension, as the translate lookup does
     metric = tangent_pl(COCYCLES[name], k)
     if draw:
         metric, _ = perturb_generic(metric, (), F(1, 8), seed=k, max_retries=50)
@@ -58,7 +68,7 @@ def test_tie_rank_matches_the_translate_lookup(name, k, draw):
     points = [(face.barycenter(), face.dim) for cell in cells for face in faces(cell)]
     assert len(points) > len(cells)
     for x, dim in points:
-        assert _tie_face_dim(metric, x) == translate_face_dim(metric, x) == dim
+        assert clip_face_dim(metric, x) == translate_face_dim(metric, x) == dim
 
 
 def tangent_metric(c, k):
@@ -112,9 +122,8 @@ def test_degree_on_a_surface_in_a_threefold(c, tmp_path, capsys):
 
 
 def test_degree_builds_no_pullback_scan(tmp_path, capsys, monkeypatch):
-    # a face's atoms come from one lifted clip of its pullback pieces and the
-    # degree at a vertex from a max over those pieces, so `degree` builds no
-    # envelope scan of a pullback
+    # a face's atoms and degrees come from one lifted clip of its pullback
+    # rows, so `degree` builds no envelope scan of a pullback
     built = []
     original = plfunc._EnvelopeScan.__init__
 

@@ -6,9 +6,13 @@ the box by the rows of its 32 nearest entries and growing them until every
 vertex passes the envelope certificate, then shifted to its canonical
 translate.  `reference_pullback_atoms` certifies every pullback piece over the
 carrier's padded box, and `reference_subdifferential` certifies the argmax
-translates' cells around the point.  `reference_ma_pl` gathers the vertices
-of the cells of linearity and scores each through `evaluate`.  The tests
-compare the lifted clip with them.
+translates' cells around the point.  `reference_pullback_pieces`,
+`reference_vertex_degree` and `reference_tie_face_dim` are the pullback and
+degree before one clip of the pullback read both: the metric's scan re-pruned
+to the face's image box into deduplicated Fraction pieces, the atom mass from
+a max over those pieces at the vertex, and the tie rank from a scan lookup.
+`reference_ma_pl` gathers the vertices of the cells of linearity and scores
+each through `evaluate`.  The tests compare the lifted clip with them.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from fractions import Fraction
 
 from tropma import linalg
 from tropma.errors import CellWalkError, CertificateError
-from tropma.linalg import dot, vsub
+from tropma.linalg import dot, vec, vsub
 from tropma.ma import Atom, Measure
-from tropma.plfunc import (PeriodicDecomposition, PeriodicPLFunction, _CollarTooSmall,
-                           _cell_from_ties, _default_collar, _fundamental_bbox, _int_argmax,
+from tropma.plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
+                           _CollarTooSmall, _cell_from_ties, _default_collar, _fundamental_bbox,
+                           _grid_points, _int_argmax, _may_attain, _scaled_int,
                            _translates_meeting, evaluate, linearity_cells)
 from tropma.polyhedra import _rational, _reduced, box_corners, clip, hull, volume
+from tropma.skeleton import _image_box, _scale
 
 
 def certified_cell(scan, ei, box_lo, box_hi, incidence=False):
@@ -206,3 +212,59 @@ def reference_ma_pl(f, region=None):
     if region is None and sum(a.mass for a in atoms) != linalg.det(c.b) * c.covolume():
         raise CertificateError("MA mass over a fundamental domain is not det(b)·covol(Λ)")
     return Measure(atoms=tuple(atoms))
+
+
+def reference_entries_on(scan, lo, hi):
+    """The scan's entries that can attain the envelope on the box [lo, hi]
+    inside the scan's box, by the scan's own pruning rule: the minorants are
+    the first argmax entries at the grid points of [lo, hi]."""
+    assert scan.covers(lo, hi)
+    corners = box_corners(lo, hi)
+    dw = linalg.common_denominator(x for w in corners for x in w)
+    ws = [tuple(_scaled_int(x, dw) for x in w) for w in corners]
+    vals = [[sum(a * b for a, b in zip(m, w)) + ci * dw for w in ws]
+            for m, ci in scan._ints]
+    floors = [vals[i] for i in sorted({scan.eval(gp)[1][0] for gp in _grid_points(lo, hi)})]
+    return [e for e, v in zip(scan.entries, vals) if _may_attain(v, floors)]
+
+
+def reference_pullback_pieces(metric, face):
+    """The distinct pieces of metric ∘ f_aff on frame coordinates, from the
+    metric's scan re-pruned to the carrier's image box, sorted."""
+    box = _image_box(face)
+    k = face.frame.dim
+    seen = {}
+    for e in reference_entries_on(metric.scan_for(*box), *box):
+        m = e.piece.m
+        slope = tuple(sum(m[i] * face.f_aff_linear[i][j] for i in range(len(m)))
+                      for j in range(k))
+        const = dot(m, face.f_aff_offset) + e.piece.c
+        seen[(slope, const)] = AffinePiece(slope, const)
+    return sorted(seen.values(), key=lambda p: (p.m, p.c))
+
+
+def reference_tie_face_dim(metric, x):
+    """n − rank{m_j − m_i} over the scan's translates attaining the metric at x."""
+    scan = metric.scan_for(x, x)
+    ms = [scan.entries[i].piece.m for i in scan.eval(x)[1]]
+    return metric.n - linalg.rank([vsub(m, ms[0]) for m in ms[1:]])
+
+
+def reference_vertex_degree(spec, face, metric, xi, pieces=None):
+    """(d!/e!)·deg_H times the volume of the slopes of the pullback pieces
+    attaining the max at xi, with the errors of `skeleton.vertex_degree`;
+    `pieces` are `reference_pullback_pieces`, built here when not given."""
+    xi = vec(xi)
+    if not face.carrier.contains_relint(xi):
+        raise ValueError("xi must lie in the relative interior of the carrier")
+    y = face.frame.coordinates(xi)
+    if pieces is None:
+        pieces = reference_pullback_pieces(metric, face)
+    vals = [p.value(y) for p in pieces]
+    top = max(vals)
+    vol = volume(sorted({p.m for p, v in zip(pieces, vals) if v == top}))
+    if not vol:
+        raise ValueError("xi is not a vertex of the pullback complex")
+    if metric.n - reference_tie_face_dim(metric, face.f_aff(y)) != face.carrier.dim:
+        raise ValueError("non-transversal vertex")
+    return _scale(spec, face) * vol
