@@ -17,16 +17,17 @@ _EXPORTS = {
     "polyhedra": ("AffineLatticeFrame", "AmbientLattice", "FrameMismatchError", "Polytope",
                   "faces", "hull", "intersect", "lattice_volume"),
     "cocycle": ("Cocycle", "UnpolarizedError"),
-    "plfunc": ("AffinePiece", "CellWalkError", "CertificateError", "PeriodicDecomposition",
-               "PeriodicPLFunction", "TransversalityReport", "certify_linearity_tiling",
-               "check_cocycle_rule", "check_periodic", "check_transversal", "evaluate",
-               "linearity_cells", "translate_piece"),
+    "envelope": ("AffinePiece", "PeriodicPLFunction", "evaluate", "translate_piece"),
+    "plfunc": ("CellWalkError", "CertificateError", "PeriodicDecomposition",
+               "TransversalityReport", "certify_linearity_tiling", "check_cocycle_rule",
+               "check_periodic", "check_transversal", "linearity_cells"),
     "approx": ("ApproxCertificate", "ApproxRequest", "StageErrors", "approximate",
                "barycentric_strictify", "perturb_generic", "tangent_pl"),
     "ma": ("Measure", "Subdifferential", "ma_pl", "ma_quadratic_restricted",
            "pushforward", "subdifferential", "total_mass"),
-    "skeleton": ("SkeletonFace", "SkeletonSpec", "assemble_measure", "canonical_subset",
-                 "check_nondegenerate", "face_measure", "vertex_degree"),
+    "skeleton": ("SkeletonFace", "SkeletonSpec", "assemble_measure", "check_nondegenerate",
+                 "face_measure", "vertex_degree"),
+    "gluing": ("canonical_subset",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

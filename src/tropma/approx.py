@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .cocycle import Cocycle
+from .envelope import AffinePiece, PeriodicPLFunction, _fundamental_bbox, evaluate
 from .errors import CellWalkError, PerturbationError, StrictificationError
 from .linalg import Vec, dot, vsub
-from .plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
-                     TransversalityReport, _closure_under_faces, _fundamental_bbox,
-                     certify_linearity_tiling, check_transversal, evaluate, linearity_cells)
+from .plfunc import (PeriodicDecomposition, TransversalityReport, _closure_under_faces,
+                     certify_linearity_tiling, check_transversal, linearity_cells)
 from .polyhedra import Polytope
 from .value import Value, setfield
 

@@ -11,11 +11,12 @@ or a failed mass check).  A malformed flag is an input error like any other.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import jsonio
 from .errors import CellWalkError, CertificateError, PerturbationError, StrictificationError
@@ -231,72 +232,217 @@ def cmd_plot(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors follow the JSON error contract."""
+class _Flag:
+    """One flag of a command, read into args.<dest>.
 
-    def error(self, message):
-        raise FormatError(f"{self.prog}: {message}")
+    type is str or int for a flag that takes a value, or bool for a switch,
+    which is False unless given.  A repeatable flag collects its values in a
+    list, None when absent; choices, when set, are the only values accepted.
+    """
+
+    __slots__ = ("names", "help", "dest", "type", "default", "required", "repeat", "choices")
+
+    def __init__(self, names, help, dest=None, type=str, default=None, required=False,
+                 repeat=False, choices=None):
+        self.names = names
+        self.help = help
+        self.dest = dest or names[-1].lstrip("-")
+        self.type = type
+        self.default = False if type is bool else default
+        self.required = required
+        self.repeat = repeat
+        self.choices = choices
+
+    @property
+    def label(self) -> str:
+        return "/".join(self.names)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="tropma",
-        description="Exact Monge-Ampere measures of toric metrics on tropical "
-                    "abelian varieties")
-    sub = ap.add_subparsers(dest="command", required=True)
+_HELP = _Flag(("-h", "--help"), "show this help message and exit", type=bool)
+_IN = _Flag(("--in",), "input JSON file", dest="infile", required=True)
+_OUT = _Flag(("--out",), "output file (stdout if empty)", default="")
 
-    def common(p, out_default=""):
-        p.add_argument("--in", dest="infile", required=True, help="input JSON file")
-        p.add_argument("--out", default=out_default, help="output file (stdout if empty)")
+# command -> (handler, help, flags), in the order the help lists them
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate an input file", (
+        _IN, _OUT,
+        _Flag(("--kind",), "the kind of the input, inferred by default", default="auto",
+              choices=("auto", "cocycle", "function", "decomposition", "skeleton", "measure")))),
+    "approximate": (cmd_approximate, "transversal PL approximation pipeline", (
+        _IN, _OUT,
+        _Flag(("--eps",), "tolerance as an exact rational, e.g. 1/4"),
+        _Flag(("--seed",), "seed of the perturbation draws", type=int))),
+    "ma": (cmd_ma, "Monge-Ampere measure of a PL function", (
+        _IN, _OUT,
+        _Flag(("--k",), "tangent mesh refinement when the input is a cocycle", type=int,
+              default=1),
+        _Flag(("--region",), "polytope JSON restricting the atoms"),
+        _Flag(("--fundamental",), "report one atom per lattice orbit (half-open domain)",
+              type=bool))),
+    "skeleton-measure": (cmd_skeleton_measure, "assemble the measure of a skeleton spec", (
+        _IN, _OUT,
+        _Flag(("--metric",), "'canonical' or a path to a function JSON", default="canonical"))),
+    "degree": (cmd_degree, "vertex degrees of a PL metric on a skeleton", (
+        _IN, _OUT, _Flag(("--metric",), "path to a function JSON", required=True))),
+    "mass-check": (cmd_mass_check, "compare total masses across metrics", (
+        _IN, _OUT,
+        _Flag(("--metric",), "'canonical' or a function/measure JSON path (repeatable)",
+              repeat=True))),
+    "plot": (cmd_plot, "deterministic SVG of 2-D data", (_IN, _OUT)),
+}
 
-    p = sub.add_parser("validate", help="parse and validate an input file")
-    common(p)
-    p.add_argument("--kind", default="auto",
-                   choices=["auto", "cocycle", "function", "decomposition",
-                            "skeleton", "measure"])
-    p.set_defaults(func=cmd_validate)
+# Flags are read as argparse reads them, and its error messages are kept
+# word for word: a flag may be abbreviated to a unique prefix and given as
+# --flag value or --flag=value; '--' makes every later argument a value; a
+# value may not look like a flag unless it looks like a negative number.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("approximate", help="transversal PL approximation pipeline")
-    common(p)
-    p.add_argument("--eps", default=None, help="tolerance as an exact rational, e.g. 1/4")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_approximate)
 
-    p = sub.add_parser("ma", help="Monge-Ampere measure of a PL function")
-    common(p)
-    p.add_argument("--k", type=int, default=1,
-                   help="tangent mesh refinement when the input is a cocycle")
-    p.add_argument("--region", default=None, help="polytope JSON restricting the atoms")
-    p.add_argument("--fundamental", action="store_true",
-                   help="report one atom per lattice orbit (half-open domain)")
-    p.set_defaults(func=cmd_ma)
+def _error(prog: str, message: str):
+    return FormatError(f"{prog}: {message}")
 
-    p = sub.add_parser("skeleton-measure", help="assemble the measure of a skeleton spec")
-    common(p)
-    p.add_argument("--metric", default="canonical",
-                   help="'canonical' or a path to a function JSON")
-    p.set_defaults(func=cmd_skeleton_measure)
 
-    p = sub.add_parser("degree", help="vertex degrees of a PL metric on a skeleton")
-    common(p)
-    p.add_argument("--metric", required=True, help="path to a function JSON")
-    p.set_defaults(func=cmd_degree)
+def _option(options: dict, arg: str, prog: str):
+    """None if arg is a value, else (flag, option, explicit value or None),
+    with flag None for an option that no flag matches."""
+    if not arg or arg[0] != "-":
+        return None
+    if arg in options:
+        return options[arg], arg, None
+    if len(arg) == 1:
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return options[name], name, value
+    if arg[1] == "-":
+        matches = [(flag, option, value if eq else None)
+                   for option, flag in options.items() if option.startswith(name)]
+    else:
+        matches = [(options[arg[:2]], arg[:2], arg[2:])] if arg[:2] in options else []
+    if len(matches) > 1:
+        raise _error(prog, f"ambiguous option: {arg} could match "
+                           f"{', '.join(option for _, option, _ in matches)}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, arg, None
 
-    p = sub.add_parser("mass-check", help="compare total masses across metrics")
-    common(p)
-    p.add_argument("--metric", action="append",
-                   help="'canonical' or a function/measure JSON path (repeatable)")
-    p.set_defaults(func=cmd_mass_check)
 
-    p = sub.add_parser("plot", help="deterministic SVG of 2-D data")
-    common(p, out_default="")
-    p.set_defaults(func=cmd_plot)
-    return ap
+def _switch(options: dict, flag: _Flag, option: str, value, prog: str) -> _Flag:
+    """The switch given as option with an explicit value: an error, except
+    that single-dash switches chain (-hh is -h -h)."""
+    while value is not None:
+        nxt = "-" + value[:1]
+        if option[1] == "-" or not value or nxt not in options:
+            raise _error(prog, f"argument {flag.label}: ignored explicit argument {value!r}")
+        flag, option, value = options[nxt], nxt, value[1:] or None
+    return flag
+
+
+def _help(command=None) -> None:
+    """Print the help of a command, or of the program, and exit 0."""
+    if command is None:
+        lines = ["usage: tropma <command> [flags]", "",
+                 "Exact Monge-Ampere measures of toric metrics on tropical abelian varieties",
+                 "", "commands:"]
+        lines += [f"  {name:<18}{text}" for name, (_, text, _) in COMMANDS.items()]
+        lines += ["", "Run 'tropma <command> --help' for the flags of a command."]
+    else:
+        _, text, flags = COMMANDS[command]
+        usage = ["[-h]"]
+        rows = [("-h, --help", _HELP.help)]
+        for f in flags:
+            spec = f.names[-1] if f.type is bool else f"{f.names[-1]} {f.dest.upper()}"
+            usage.append(spec if f.required else f"[{spec}]")
+            choices = f" (one of {', '.join(f.choices)})" if f.choices else ""
+            rows.append((spec, f.help + choices))
+        lines = [f"usage: tropma {command} {' '.join(usage)}", "", text, "", "flags:"]
+        lines += [f"  {spec:<20}{line}" for spec, line in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _parse_command(command: str, argv: list):
+    """(args, the arguments no flag reads) for one command's flags."""
+    func, _, flags = COMMANDS[command]
+    prog = f"tropma {command}"
+    options = {name: f for f in (_HELP, *flags) for name in f.names}
+    kinds = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            kinds += ["--"] + [None] * (len(argv) - i - 1)
+            break
+        kinds.append(_option(options, arg, prog))
+    args = SimpleNamespace(command=command, func=func, **{f.dest: f.default for f in flags})
+    seen, extras = set(), []
+    i = 0
+    while i < len(argv):
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind == "--" or kind[0] is None:
+            extras.append(argv[i - 1])
+            continue
+        flag, option, value = kind
+        if flag.type is bool:
+            if _switch(options, flag, option, value, prog) is _HELP:
+                _help(command)
+            value = True
+        elif value is None:
+            if i == len(argv) or kinds[i] is not None:
+                raise _error(prog, f"argument {flag.label}: expected one argument")
+            value = argv[i]
+            i += 1
+        seen.add(flag)
+        if flag.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _error(prog, f"argument {flag.label}: invalid int value: {value!r}") from None
+        if flag.choices and value not in flag.choices:
+            raise _error(prog, f"argument {flag.label}: invalid choice: {value!r} (choose from "
+                               f"{', '.join(map(repr, flag.choices))})")
+        if flag.repeat:
+            value = (getattr(args, flag.dest) or []) + [value]
+        setattr(args, flag.dest, value)
+    missing = [f.label for f in flags if f.required and f not in seen]
+    if missing:
+        raise _error(prog, f"the following arguments are required: {', '.join(missing)}")
+    return args, extras
+
+
+def parse_args(argv: list):
+    """The command's handler and flag values as attributes of one namespace:
+    command, func and one attribute per flag of the command."""
+    options = {name: _HELP for name in _HELP.names}
+    args, extras = None, []
+    for i, arg in enumerate(argv):
+        kind = None if arg == "--" else _option(options, arg, "tropma")
+        if kind is None:
+            if arg == "--" and i == len(argv) - 1:
+                break                   # '--' with nothing after it names no command
+            if arg not in COMMANDS:
+                raise _error("tropma", f"argument command: invalid choice: {arg!r} (choose from "
+                                       f"{', '.join(map(repr, COMMANDS))})")
+            args, more = _parse_command(arg, argv[i + 1:])
+            extras += more
+            break
+        flag, option, value = kind
+        if flag is None:
+            extras.append(arg)
+        else:
+            _switch(options, flag, option, value, "tropma")
+            _help()
+    if args is None:
+        raise _error("tropma", "the following arguments are required: command")
+    if extras:
+        raise _error("tropma", f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (PerturbationError, StrictificationError, CellWalkError, CertificateError) as e:
         return _fail("algorithmic", str(e), 2)

@@ -13,18 +13,19 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from .cocycle import Cocycle
+from .envelope import AffinePiece, PeriodicPLFunction
 from .linalg import Mat, Vec
-from .plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
-                     TransversalityReport)
 from .polyhedra import AffineLatticeFrame, Polytope, hull
 
 if TYPE_CHECKING:
     from .approx import ApproxCertificate, ApproxRequest
     from .ma import Measure
+    from .plfunc import PeriodicDecomposition, TransversalityReport
     from .skeleton import SkeletonSpec
 
-# The codecs of requests, measures and skeleton specs import `approx`, `ma`
-# and `skeleton` when they run, so that a command loads only its own modules.
+# The codecs of requests, measures, skeleton specs and decompositions import
+# `approx`, `ma`, `skeleton` and `plfunc` when they run, so that a command
+# loads only its own modules.
 
 
 class FormatError(ValueError):
@@ -192,6 +193,7 @@ def enc_decomposition(dec: PeriodicDecomposition) -> dict:
 
 
 def dec_decomposition(d: Any, cocycle: Cocycle | None = None) -> PeriodicDecomposition:
+    from .plfunc import PeriodicDecomposition
     if not isinstance(d, dict) or "cells" not in d:
         raise FormatError("a decomposition is encoded as {\"cells\": [...]}")
     c = cocycle if cocycle is not None else dec_cocycle(dec_field(d, "cocycle", "decomposition"))

@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
+from .envelope import PeriodicPLFunction, _fundamental_bbox
+from .errors import CertificateError
 from .linalg import Mat, Vec, dot, vec
-from .plfunc import CertificateError, PeriodicPLFunction, _fundamental_bbox
 from .polyhedra import (AffineLatticeFrame, Polytope, envelope_atoms, envelope_clip, graph_point,
                         hull, lattice_volume)
 from .value import Value, setfield

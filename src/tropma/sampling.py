@@ -11,10 +11,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .envelope import PeriodicPLFunction, translate_piece
 from .linalg import vec
 from .ma import subdifferential
-from .plfunc import (PeriodicPLFunction, _translates_meeting, linearity_cells,
-                     translate_piece)
+from .plfunc import _translates_meeting, linearity_cells
 
 
 def _adjacent_cells(f: PeriodicPLFunction, xi):

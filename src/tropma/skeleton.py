@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 from . import linalg
 from .cocycle import Cocycle
-from .linalg import Mat, Vec, dot, vec, vsub
-from .plfunc import PeriodicPLFunction, _EnvelopeScan
+from .envelope import PeriodicPLFunction, _EnvelopeScan
+from .linalg import Mat, Vec, vec, vsub
 from .polyhedra import (AffineLatticeFrame, Polytope, envelope_clip, graph_point, hull,
                         volume)
 from .value import Value, setfield
@@ -175,18 +175,18 @@ def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
 
 
 def _pullback_atoms(face: SkeletonFace, metric: PeriodicPLFunction
-                    ) -> list[tuple[Vec, Fraction, int]]:
-    """(y, mass, tie dimension) at each atom of MA(metric∘f_aff) in the
-    carrier's relative interior, y in frame coordinates, sorted.
+                    ) -> list[tuple[Vec, Fraction, list[tuple[int, ...]]]]:
+    """(y, mass, tie slopes) at each atom of MA(metric∘f_aff) in the
+    carrier's relative interior, y in frame coordinates, sorted by y.
 
     The atoms are the vertices of one lifted clip of the pullback's rows
     (`_pullback_pieces`) over the carrier's box (`envelope_clip`) that lie in
     the relative interior, where no box facet is tight, and have positive
     mass.  A vertex's tight ids are the metric's argmax set at f_aff(y): its
     mass is the volume of their pulled-back slopes, on frame coordinates of
-    the saturated frame a lattice volume, and the face of the metric's
-    complex through f_aff(y) is where they all tie, of dimension
-    n − rank{m_j − m_i} over their metric slopes.
+    the saturated frame a lattice volume, and its tie slopes are their metric
+    slopes over the scan's denominator.  Only `degree` reads the tie
+    dimension off them (`_tie_dim`).
     """
     scan = metric.scan_for(*_image_box(face))
     den, rows = _pullback_pieces(scan, face)
@@ -199,9 +199,14 @@ def _pullback_atoms(face: SkeletonFace, metric: PeriodicPLFunction
         ids = [i for i in tight if i >= 0]
         mass = volume(sorted({rows[i][0] for i in ids})) / den ** face.frame.dim
         if mass:
-            ms = [scan._ints[i][0] for i in ids]
-            out.append((y, mass, metric.n - linalg.rank([vsub(m, ms[0]) for m in ms[1:]])))
-    return sorted(out)
+            out.append((y, mass, [scan._ints[i][0] for i in ids]))
+    return sorted(out, key=lambda atom: atom[0])
+
+
+def _tie_dim(n: int, slopes: Sequence[Sequence[int]]) -> int:
+    """n − rank{m_j − m_i}: the dimension of the face of the metric's complex
+    where the translates with these slopes all tie."""
+    return n - linalg.rank([vsub(m, slopes[0]) for m in slopes[1:]])
 
 
 def face_measure(spec: SkeletonSpec, face: SkeletonFace, metric: Metric) -> Measure:
@@ -242,10 +247,10 @@ def assemble_measure(spec: SkeletonSpec, metric: Metric) -> Measure:
 
 
 def _degree(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunction,
-            mass: Fraction, tie_dim: int) -> Fraction:
-    """(d!/e!)·deg_H·mass at a pullback vertex whose metric face has
-    codimension dim(carrier), the transversal case."""
-    if metric.n - tie_dim != face.carrier.dim:
+            mass: Fraction, slopes: Sequence[Sequence[int]]) -> Fraction:
+    """(d!/e!)·deg_H·mass at a pullback vertex whose metric face, where its
+    tie slopes tie, has codimension dim(carrier), the transversal case."""
+    if metric.n - _tie_dim(metric.n, slopes) != face.carrier.dim:
         raise ValueError("non-transversal vertex")
     return _scale(spec, face) * mass
 
@@ -254,8 +259,8 @@ def face_degrees(spec: SkeletonSpec, face: SkeletonFace, metric: PeriodicPLFunct
                  ) -> list[tuple[Vec, Fraction]]:
     """(vertex, degree) at every pullback vertex in the face's relative
     interior, off one clip of the face's pullback."""
-    return [(face.frame.embed(y), _degree(spec, face, metric, mass, tie))
-            for y, mass, tie in _pullback_atoms(face, metric)]
+    return [(face.frame.embed(y), _degree(spec, face, metric, mass, slopes))
+            for y, mass, slopes in _pullback_atoms(face, metric)]
 
 
 def skeleton_degrees(spec: SkeletonSpec, metric: PeriodicPLFunction
@@ -279,138 +284,7 @@ def vertex_degree(spec: SkeletonSpec, face: SkeletonFace,
     if not face.carrier.contains_relint(xi):
         raise ValueError("xi must lie in the relative interior of the carrier")
     y = face.frame.coordinates(xi)
-    for at, mass, tie in _pullback_atoms(face, metric):
+    for at, mass, slopes in _pullback_atoms(face, metric):
         if at == y:
-            return _degree(spec, face, metric, mass, tie)
+            return _degree(spec, face, metric, mass, slopes)
     raise ValueError("xi is not a vertex of the pullback complex")
-
-
-def canonical_subset(spec: SkeletonSpec) -> tuple[list[str], Measure]:
-    """Non-degenerate faces and their glued canonical measure.
-
-    Face measures are pushed along the gluing identifications onto component
-    root charts, summing where faces are identified; each f_aff is injective
-    on its face by the non-degeneracy rank condition, so the face-to-image map
-    is finite-to-one at the data level.  Gluing maps that disagree at carrier
-    vertices raise.
-    """
-    from .ma import Measure, pushforward
-    nd = [f for f in spec.faces if check_nondegenerate(spec, f)]
-    nd_ids = [f.id for f in sorted(nd, key=lambda f: f.id)]
-
-    chart_maps, roots = _component_chart_maps(spec)
-    acc: dict[str, Measure] = {}
-    for face in sorted(nd, key=lambda f: f.id):
-        mu = face_measure(spec, face, "canonical")
-        lin, off = chart_maps[face.id]
-        tframe = AffineLatticeFrame(
-            linalg.vadd(linalg.matvec(lin, face.frame.basepoint), off),
-            tuple(linalg.matvec(lin, b) for b in face.frame.basis))
-        mu2 = pushforward(mu, [(face.carrier, lin, off, tframe)])
-        root = roots[face.id]
-        acc[root] = acc.get(root, Measure()) + mu2
-
-    merged = Measure()
-    for root in sorted(acc):
-        merged = merged + _merge_overlaps(acc[root])
-    return nd_ids, merged
-
-
-def _merge_overlaps(mu: Measure) -> Measure:
-    """Sum masses of atoms at identical points and densities on identical
-    supports; piece densities are re-expressed in the support's own saturated
-    frame (an exact, mass-preserving conversion) so identified carriers merge."""
-    from .ma import Atom, LebesguePiece, Measure
-    from .polyhedra import lattice_volume
-    atom_acc: dict[Vec, Fraction] = {}
-    for a in mu.atoms:
-        atom_acc[a.at] = atom_acc.get(a.at, Fraction(0)) + a.mass
-    piece_acc: dict[tuple, tuple[Polytope, AffineLatticeFrame, Fraction]] = {}
-    for p in mu.lebesgue_pieces:
-        canon_frame = p.support.frame()
-        vol_old = lattice_volume(p.support, p.frame)
-        vol_new = lattice_volume(p.support, canon_frame)
-        density = p.density * vol_old / vol_new if vol_new else p.density
-        key = p.support.vertices
-        prev = piece_acc.get(key)
-        if prev is None:
-            piece_acc[key] = (p.support, canon_frame, density)
-        else:
-            piece_acc[key] = (prev[0], prev[1], prev[2] + density)
-    return Measure(tuple(Atom(at, m) for at, m in sorted(atom_acc.items())),
-                   tuple(LebesguePiece(s, fr, d) for s, fr, d in
-                         (piece_acc[k] for k in sorted(piece_acc))))
-
-
-def _gluing_graph(spec: SkeletonSpec):
-    """Adjacency lists; an entry (y, L, t) at node x maps y's chart into x's."""
-    adj: dict[str, list[tuple[str, Mat, Vec]]] = {f.id: [] for f in spec.faces}
-    for g in spec.gluing:
-        adj[g.face_a].append((g.face_b, g.linear, vec(g.offset)))
-        inv = _invert_on_carrier(spec.face(g.face_a), spec.face(g.face_b),
-                                 g.linear, vec(g.offset))
-        adj[g.face_b].append((g.face_a, inv[0], inv[1]))
-    return adj
-
-
-def _invert_on_carrier(face_a: SkeletonFace, face_b: SkeletonFace,
-                       lin: Mat, off: Vec) -> tuple[Mat, Vec]:
-    """Chart-affine inverse of x_a = lin·x_b + off on face_a's carrier hull.
-
-    The map restricts to a bijection of the carriers, so on frame coordinates
-    it is an invertible k x k map K; the inverse chart map is assembled as
-    F_b K⁻¹ P_a with P_a a left inverse of face_a's frame columns.
-    """
-    fa, fb = face_a.frame, face_b.frame
-    ra = len(fa.basepoint)
-    rb = len(fb.basepoint)
-    k = fb.dim
-    if k == 0:
-        zero = tuple(tuple(Fraction(0) for _ in range(ra)) for _ in range(rb))
-        return zero, fb.basepoint
-    gram = [[dot(fa.basis[i], fa.basis[j]) for j in range(k)] for i in range(k)]
-    pmat = linalg.matmul(linalg.inverse(gram), fa.basis)          # k x ra
-    fb_cols = linalg.transpose(fb.basis)                          # rb x k
-    kmat = linalg.matmul(linalg.matmul(pmat, lin), fb_cols)       # k x k
-    kinv = linalg.inverse(kmat)
-    s = linalg.matvec(pmat, linalg.vsub(
-        linalg.vadd(linalg.matvec(lin, fb.basepoint), off), fa.basepoint))
-    lin_out = linalg.matmul(linalg.matmul(fb_cols, kinv), pmat)   # rb x ra
-    off_out = linalg.vsub(
-        linalg.vsub(fb.basepoint, linalg.matvec(lin_out, fa.basepoint)),
-        linalg.matvec(fb_cols, linalg.matvec(kinv, s)))
-    return lin_out, off_out
-
-
-def _component_chart_maps(spec: SkeletonSpec):
-    """BFS over the gluing graph: per face, the chart map onto its root."""
-    adj = _gluing_graph(spec)
-    maps: dict[str, tuple[Mat, Vec]] = {}
-    roots: dict[str, str] = {}
-    for f in sorted(spec.faces, key=lambda x: x.id):
-        if f.id in maps:
-            continue
-        r = len(f.carrier.vertices[0])
-        ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(r))
-                      for i in range(r))
-        maps[f.id] = (ident, tuple(Fraction(0) for _ in range(r)))
-        roots[f.id] = f.id
-        queue = [f.id]
-        while queue:
-            cur = queue.pop()
-            lin_c, off_c = maps[cur]
-            for nxt, lin_e, off_e in adj[cur]:
-                lin_n = linalg.matmul(lin_c, lin_e)
-                off_n = linalg.vadd(linalg.matvec(lin_c, off_e), off_c)
-                if nxt in maps:
-                    lin_o, off_o = maps[nxt]
-                    for v in spec.face(nxt).carrier.vertices:
-                        a = linalg.vadd(linalg.matvec(lin_n, v), off_n)
-                        b = linalg.vadd(linalg.matvec(lin_o, v), off_o)
-                        if a != b:
-                            raise ValueError("inconsistent gluing")
-                    continue
-                maps[nxt] = (lin_n, off_n)
-                roots[nxt] = f.id
-                queue.append(nxt)
-    return maps, roots

@@ -11,8 +11,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .envelope import _fundamental_bbox
 from .ma import Measure, total_mass
-from .plfunc import PeriodicDecomposition, _fundamental_bbox, _ring2d, _translates_meeting
+from .plfunc import PeriodicDecomposition, _ring2d, _translates_meeting
 from .polyhedra import Polytope
 
 _W = 640

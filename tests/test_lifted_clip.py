@@ -30,11 +30,11 @@ from walk_reference import (certified_cell, reference_cells, reference_ma_pl,
 import tropma.plfunc as pl
 from tropma import Cocycle, PeriodicPLFunction, linalg, tangent_pl
 from tropma.ma import ma_pl, subdifferential
-from tropma.plfunc import (AffinePiece, _certified_cell, _CollarTooSmall,
-                           _fundamental_bbox, _int_argmax, linearity_cells)
+from tropma.envelope import AffinePiece, _fundamental_bbox, _int_argmax
+from tropma.plfunc import _certified_cell, _CollarTooSmall, linearity_cells
 from tropma.polyhedra import AffineLatticeFrame, envelope_clip, graph_point, hull
-from tropma.skeleton import (SkeletonFace, SkeletonSpec, _pullback_atoms, face_degrees,
-                             vertex_degree)
+from tropma.skeleton import (SkeletonFace, SkeletonSpec, _pullback_atoms, _tie_dim,
+                             face_degrees, vertex_degree)
 
 # Every example still runs and is checked; only a failure's report goes
 # unshrunk, since shrinking these examples takes minutes.
@@ -259,8 +259,8 @@ def test_degrees_and_tie_ranks_match_the_reference(data, draw):
     spec = SkeletonSpec(c, 2, (face,))
     metric = PeriodicPLFunction(c, pieces)
     atoms = _pullback_atoms(face, metric)
-    for y, _, tie in atoms:
-        assert tie == reference_tie_face_dim(metric, face.f_aff(y))
+    for y, _, slopes in atoms:
+        assert _tie_dim(metric.n, slopes) == reference_tie_face_dim(metric, face.f_aff(y))
     vertices = [face.frame.embed(y) for y, _, _ in atoms]
     off = tuple((3 * a + 4 * b) / 7 for a, b in zip(face.carrier.barycenter(),
                                                     face.carrier.vertices[0]))

@@ -20,8 +20,8 @@ from test_int_kernels import reference_translate
 from tropma import linalg
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot, vec, vsub
-from tropma.plfunc import (AffinePiece, PeriodicPLFunction, TranslatedPiece, _candidate_ks,
-                           _enumerate_entries, _point_envelope_entry)
+from tropma.envelope import (AffinePiece, PeriodicPLFunction, TranslatedPiece, _candidate_ks,
+                             _enumerate_entries, _point_envelope_entry)
 from tropma.polyhedra import box_corners as _box_corners
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,

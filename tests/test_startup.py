@@ -1,4 +1,5 @@
-"""Each CLI command loads only the tropma modules it runs, and no `dataclasses`.
+"""Each CLI command loads only the tropma modules it runs, and no `dataclasses`
+or `argparse`.
 
 Every CLI call is a fresh process, which imports and (without bytecode
 caches) compiles each module it loads, so a module a command does not use
@@ -23,7 +24,14 @@ import json, sys
 import tropma.cli
 rc = tropma.cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "dataclasses": "dataclasses" in sys.modules,
+                  "argparse": "argparse" in sys.modules,
                   "modules": sorted(m[7:] for m in sys.modules if m.startswith("tropma."))}))
+"""
+
+BARE = """
+import json, sys
+import tropma.cli
+print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith("tropma."))))
 """
 
 TATE = {"n": 1, "periods": [[1]], "b": [[1]], "z0": ["1/2"]}
@@ -34,13 +42,15 @@ SKELETON = {"cocycle": ID2, "d": 2, "faces": [{
     "f_aff": {"L": [[1, 0], [0, 1]], "t": ["1/7", "2/9"]},
     "abelian_nondegenerate": True, "boundary": []}]}
 
-NOT_FOR_MEASURES = {"approx", "svgplot"}
+# the measure commands run the envelope scan and none of the cells or
+# certificates of `plfunc`
+NOT_FOR_MEASURES = {"approx", "plfunc", "svgplot"}
 
 # (argv, modules the command must not load)
 CASES = {
     "approximate": (["approximate", "--in", "request.json", "--eps", "1/4", "--seed", "7"],
                     {"ma", "skeleton", "svgplot"}),
-    "ma": (["ma", "--in", "metric.json"], {"approx", "skeleton", "svgplot"}),
+    "ma": (["ma", "--in", "metric.json"], {"approx", "plfunc", "skeleton", "svgplot"}),
     "skeleton-measure-canonical": (["skeleton-measure", "--in", "skeleton.json"],
                                    NOT_FOR_MEASURES),
     "skeleton-measure-pl": (["skeleton-measure", "--in", "skeleton.json",
@@ -73,6 +83,15 @@ def test_command_loads_only_its_modules(inputs, case):
     report = json.loads(p.stdout)
     assert report["rc"] == 0, (inputs / "out.json").read_text()
     loaded = set(report["modules"])
-    assert "plfunc" in loaded and "cli" in loaded
+    assert "envelope" in loaded and "cli" in loaded
     assert not loaded & absent, sorted(loaded & absent)
     assert not report["dataclasses"]
+    assert not report["argparse"]
+
+
+def test_bare_import_loads_only_the_core():
+    p = subprocess.run([sys.executable, "-c", BARE], capture_output=True, text=True,
+                       timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == sorted(["cli", "jsonio", "cocycle", "linalg", "polyhedra",
+                                           "value", "envelope", "errors"])

@@ -21,7 +21,7 @@ from tropma.approx import perturb_generic
 from tropma.linalg import dot
 from tropma.plfunc import AffinePiece, _dim_of_points, _translates_meeting
 from tropma.polyhedra import AffineLatticeFrame, faces, hull
-from tropma.skeleton import SkeletonFace, _pullback_atoms
+from tropma.skeleton import SkeletonFace, _pullback_atoms, _tie_dim
 
 I2 = [[1, 0], [0, 1]]
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -46,9 +46,9 @@ def clip_face_dim(metric, x):
     """The tie dimension of the one atom of a one-point face mapped to x."""
     point = SkeletonFace("x", hull([(F(0),)]), AffineLatticeFrame((F(0),), ()), 0, F(1),
                          ((),) * len(x), x, True)
-    [(_, mass, dim)] = _pullback_atoms(point, metric)
+    [(_, mass, slopes)] = _pullback_atoms(point, metric)
     assert mass == 1
-    return dim
+    return _tie_dim(metric.n, slopes)
 
 
 COCYCLES = {"id2": ID2, "skew2": SKEW2, "id3": ID3}

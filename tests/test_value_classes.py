@@ -17,8 +17,8 @@ import tropma
 from tropma.approx import ApproxCertificate, ApproxRequest, StageErrors
 from tropma.cocycle import Cocycle
 from tropma.ma import Atom, LebesguePiece, Measure, Subdifferential
-from tropma.plfunc import (AffinePiece, PeriodicDecomposition, TranslatedPiece,
-                           TransversalityReport, TransversalityRow)
+from tropma.envelope import AffinePiece, TranslatedPiece
+from tropma.plfunc import PeriodicDecomposition, TransversalityReport, TransversalityRow
 from tropma.polyhedra import AffineLatticeFrame, AmbientLattice, FrameMismatchError, hull
 from tropma.skeleton import Gluing, SkeletonFace, SkeletonSpec
 from tropma.value import Value
@@ -80,7 +80,7 @@ MAKERS = {
 
 def test_every_value_class_is_covered():
     classes = set()
-    for name in ("approx", "cocycle", "ma", "plfunc", "polyhedra", "skeleton"):
+    for name in ("approx", "cocycle", "envelope", "ma", "plfunc", "polyhedra", "skeleton"):
         module = importlib.import_module(f"tropma.{name}")
         classes |= {v for v in vars(module).values()
                     if isinstance(v, type) and issubclass(v, Value) and v is not Value}

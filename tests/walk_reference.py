@@ -25,10 +25,11 @@ from tropma import linalg
 from tropma.errors import CellWalkError, CertificateError
 from tropma.linalg import dot, vec, vsub
 from tropma.ma import Atom, Measure
-from tropma.plfunc import (AffinePiece, PeriodicDecomposition, PeriodicPLFunction,
-                           _CollarTooSmall, _cell_from_ties, _default_collar, _fundamental_bbox,
-                           _grid_points, _int_argmax, _may_attain, _scaled_int,
-                           _translates_meeting, evaluate, linearity_cells)
+from tropma.envelope import (AffinePiece, PeriodicPLFunction, _default_collar,
+                             _fundamental_bbox, _grid_points, _int_argmax, _may_attain,
+                             _scaled_int, evaluate)
+from tropma.plfunc import (PeriodicDecomposition, _CollarTooSmall, _cell_from_ties,
+                           _translates_meeting, linearity_cells)
 from tropma.polyhedra import _rational, _reduced, box_corners, clip, hull, volume
 from tropma.skeleton import _image_box, _scale
 
