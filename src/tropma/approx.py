@@ -22,11 +22,12 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .cocycle import Cocycle
-from .envelope import AffinePiece, PeriodicPLFunction, _fundamental_bbox, evaluate
+from .envelope import (AffinePiece, PeriodicPLFunction, _fundamental_bbox, _int_argmax,
+                       evaluate)
 from .errors import CellWalkError, PerturbationError, StrictificationError
 from .linalg import Vec, dot, vsub
 from .plfunc import (PeriodicDecomposition, TransversalityReport, _closure_under_faces,
-                     certify_linearity_tiling, check_transversal, linearity_cells)
+                     _walk_box, certify_linearity_tiling, check_transversal, linearity_cells)
 from .polyhedra import Polytope
 from .value import Value, setfield
 
@@ -199,6 +200,9 @@ def barycentric_strictify(f: PeriodicPLFunction, delta: Fraction) -> PeriodicPLF
 
 def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
                        cell_pieces, delta_t: Fraction, ratio: int):
+    """One strictification attempt g, or None when g's envelope misses a
+    target value or a simplex has no unique winner.  g's one scan covers each
+    point read here and g's first walk box, so an accepted g is walked on it."""
     c = f.cocycle
     n = c.n
 
@@ -238,7 +242,8 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
             centers.append(tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts)))
 
     g = PeriodicPLFunction(c, pieces)
-    scan = g.working_scan()
+    points = (*_walk_box(g), *targets, *centers)
+    scan = g.scan_for(tuple(map(min, *points)), tuple(map(max, *points)))
 
     seen: set[tuple] = set()
     for e in scan.entries:
@@ -315,27 +320,21 @@ def _sup_diff(fa: PeriodicPLFunction, fb: PeriodicPLFunction) -> Fraction:
 
 
 def _min_winning_gap(f: PeriodicPLFunction) -> Fraction:
-    """Smallest margin by which a cell's piece wins at its own barycenter."""
-    decomp, cell_pieces, _ = linearity_cells(f)
-    scan = f.working_scan()
-    gap = None
+    """Smallest margin by which a cell's piece wins at its own barycenter,
+    over the entries of the scan f's cells were walked on: each canonical
+    barycenter lies in the fundamental box, which that scan covers."""
+    decomp, _, _ = linearity_cells(f)
+    scan = f.scan_for(*_fundamental_bbox(f.cocycle))
+    gaps = []
     for cell in decomp.cells:
         center = cell.barycenter()
         val, arg = scan.eval(center)
-        argset = set(arg)
-        dw = linalg.common_denominator(center)
-        w = tuple(int(x * dw) for x in center)
-        second = None
-        for i, (mi, ci) in enumerate(scan._ints):
-            if i in argset:
-                continue
-            v = sum(a * b for a, b in zip(mi, w)) + ci * dw
-            if second is None or v > second:
-                second = v
-        if second is not None:
-            g = val - Fraction(second, scan.den * dw)
-            gap = g if gap is None else min(gap, g)
-    return gap if gap is not None else Fraction(1)
+        rest = [e for i, e in enumerate(scan._ints) if i not in arg]
+        if rest:
+            dw = linalg.common_denominator(center)
+            second, _ = _int_argmax(rest, tuple(int(x * dw) for x in center), dw)
+            gaps.append(val - Fraction(second, scan.den * dw))
+    return min(gaps, default=Fraction(1))
 
 
 def _rand_frac(rng: random.Random, radius: Fraction, grain: int = 4096) -> Fraction:

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
+from .errors import CertificateError
 from .linalg import Mat, Vec, dot, vec
 from .polyhedra import box_corners
 from .value import Value, setfield
@@ -114,29 +115,8 @@ class PeriodicPLFunction:
         self._scan = _EnvelopeScan(self, lo, hi)
         return self._scan
 
-    def working_scan(self) -> "_EnvelopeScan":
-        """Scan covering the fundamental domain plus a cell-sized collar."""
-        lo, hi = _fundamental_bbox(self.cocycle)
-        collar = _default_collar(self)
-        return self.scan_for(tuple(a - collar for a in lo),
-                             tuple(b + collar for b in hi))
-
     def value(self, omega: Sequence[Fraction]) -> Fraction:
         return evaluate(self, omega)[0]
-
-
-def _default_collar(f: PeriodicPLFunction) -> Fraction:
-    """Initial search collar: roughly two cell widths, at least a quarter
-    period.
-
-    The mesh estimate is the integer floor n-th root of the piece count, the
-    k of a mesh with kⁿ pieces."""
-    lo, hi = _fundamental_bbox(f.cocycle)
-    width = max(b - a for a, b in zip(lo, hi))
-    mesh = 1
-    while (mesh + 1) ** f.n <= len(f.pieces):
-        mesh += 1
-    return max(width * 2 / mesh, width / 4)
 
 
 class _EnvelopeScan:
@@ -170,10 +150,13 @@ class _EnvelopeScan:
             all(a >= b for a, b in zip(self.hi, hi))
 
     def eval(self, point: Vec) -> tuple[Fraction, tuple[int, ...]]:
-        """Exact envelope value and the indices of all entries attaining it."""
+        """Exact envelope value and the indices of all entries attaining it;
+        a periodic function's entries hold on the box only, so not outside."""
         hit = self._cache.get(point)
         if hit is not None:
             return hit
+        if self.f.cocycle is not None and not self.covers(point, point):
+            raise CertificateError(f"envelope scan read at {point}, outside its box")
         dw = linalg.common_denominator(point)
         best, arg = _int_argmax(self._ints, tuple(int(x * dw) for x in point), dw)
         out = (Fraction(best, self.den * dw), tuple(arg))
@@ -515,13 +498,8 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
 def evaluate(f: PeriodicPLFunction, omega: Sequence) -> tuple[Fraction, list[TranslatedPiece]]:
     """Exact sup over all translates at ω, with the full set of argmax pieces."""
     w = vec(omega)
-    if f.cocycle is None:
-        scan = f.scan_for(w, w)
-    else:
-        lo, hi = _fundamental_bbox(f.cocycle)
-        lo = tuple(min(a, b) for a, b in zip(lo, w))
-        hi = tuple(max(a, b) for a, b in zip(hi, w))
-        scan = f.scan_for(lo, hi)
+    box = (w, w) if f.cocycle is None else (*_fundamental_bbox(f.cocycle), w)
+    scan = f.scan_for(tuple(map(min, *box)), tuple(map(max, *box)))
     val, arg = scan.eval(w)
     return val, [scan.entries[i] for i in arg]
 

@@ -18,8 +18,8 @@ from typing import Sequence
 from . import linalg
 from .cocycle import Cocycle
 from .envelope import (AffinePiece, PeriodicPLFunction, _candidate_ks, _cocycle_quadratic_data,
-                       _default_collar, _EnvelopeScan, _enumerate_entries, _fundamental_bbox,
-                       evaluate, translate_piece)
+                       _EnvelopeScan, _enumerate_entries, _fundamental_bbox, evaluate,
+                       translate_piece)
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Vec, dot, vadd, vsub
 from .polyhedra import (Polytope, _canon_ineq, _cap_vertices, _faces, _int_halfspace,
@@ -249,44 +249,67 @@ def _certified_cell(clipped, ei: int):
     return [graph_point(pts[v]) for v in on], [tight[v] for v in on]
 
 
+def _default_collar(f: PeriodicPLFunction) -> Fraction:
+    """The cell walk's collar: roughly two cell widths, at least a quarter
+    period.
+
+    The mesh estimate is the integer floor n-th root of the piece count, the
+    k of a mesh with kⁿ pieces."""
+    lo, hi = _fundamental_bbox(f.cocycle)
+    width = max(b - a for a, b in zip(lo, hi))
+    mesh = 1
+    while (mesh + 1) ** f.n <= len(f.pieces):
+        mesh += 1
+    return max(width * 2 / mesh, width / 4)
+
+
+def _walk_box(f: PeriodicPLFunction, step: int = 0) -> tuple[Vec, Vec]:
+    """The box that step `step` of `linearity_cells` clips: f's fundamental
+    box widened on every side by a collar.  The first collar is 5/9 of
+    `_default_collar`, so that a tangent mesh's cells, one width across, end
+    inside the box rather than on its facets; a restart takes the whole
+    collar, then doubles it, by at most one period width per step."""
+    lo, hi = _fundamental_bbox(f.cocycle)
+    width = max(b - a for a, b in zip(lo, hi))
+    collar = _default_collar(f)
+    if step == 0:
+        collar = collar * 5 / 9
+    for _ in range(step - 1):
+        collar = min(collar * 2, collar + width)
+    return tuple(a - collar for a in lo), tuple(b + collar for b in hi)
+
+
 def linearity_cells(f: PeriodicPLFunction):
     """Maximal cells of linearity, as canonical representatives modulo Λ.
 
     Returns (decomposition, cell_to_piece, strictly_convex), read off one
     lifted clip of the envelope's graph over the fundamental box widened by a
-    collar (`_walk_cells`): first 5/9 of the working scan's two cell widths,
-    so that a tangent mesh's cells, one width across, end inside the box
-    rather than on its facets; on a restart the working scan's collar, then
-    grown.  A cell that several translates tie on gets the lexicographically
-    least piece.
+    collar (`_walk_cells`), first over `_walk_box(f)`, and over the next
+    step's larger box on a restart.  A cell that several translates tie on
+    gets the lexicographically least piece.
     """
     if f._cells_cache is not None and f._cells_cache[2] is not None:
         return f._cells_cache
-    c = f.cocycle
-    if c is None:
+    if f.cocycle is None:
         raise ValueError("linearity_cells needs a periodic function")
-    flo, fhi = _fundamental_bbox(c)
-    collar = _default_collar(f)
-    width = max(b - a for a, b in zip(flo, fhi))
-    for attempt in range(9):
+    for step in range(9):
         try:
-            result = _walk_cells(f, flo, fhi, collar * 5 / 9 if attempt == 0 else collar)
+            result = _walk_cells(f, *_walk_box(f, step))
             break
         except _CollarTooSmall:
-            if attempt:
-                collar = min(collar * 2, collar + width)
+            pass
     else:
         raise CellWalkError("cell walk failed to stabilize; is b positive definite?")
     f._cells_cache = result
     return result
 
 
-def _walk_cells(f: PeriodicPLFunction, flo: Vec, fhi: Vec, collar: Fraction):
+def _walk_cells(f: PeriodicPLFunction, box_lo: Vec, box_hi: Vec):
     """One collar step of `linearity_cells`: one cell per Λ-class, read off
-    the lifted clip over the box [flo - collar, fhi + collar].
+    the lifted clip over the box [box_lo, box_hi].
 
-    The clip (`envelope_clip`) runs on f's scan, which covers the working
-    box and grows with the box.  By the cocycle rule the cell of the
+    The clip (`envelope_clip`) runs on f's scan of that box, which a restart
+    grows to the larger box.  By the cocycle rule the cell of the
     translate (p, k) is the cell of (p, 0) shifted by λ_k, so one translate
     of each representative's cell that touches no box facet, a whole cell of
     f, is shifted to its canonical translate, whose barycenter lies in the
@@ -299,9 +322,6 @@ def _walk_cells(f: PeriodicPLFunction, flo: Vec, fhi: Vec, collar: Fraction):
     """
     c = f.cocycle
     n = c.n
-    box_lo = tuple(a - collar for a in flo)
-    box_hi = tuple(b + collar for b in fhi)
-    f.working_scan()
     scan = f.scan_for(box_lo, box_hi)
     clipped = pts, tight = envelope_clip(scan._ints, box_lo, box_hi)
     at: dict[int, list[int]] = {}

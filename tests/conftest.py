@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import tropma.envelope as envelope
 from tropma import AffineLatticeFrame, Cocycle, hull
 
 
@@ -28,3 +29,18 @@ def std_frame_1d():
 @pytest.fixture(scope="session")
 def std_frame_2d():
     return AffineLatticeFrame((F(0), F(0)), ((F(1), F(0)), (F(0), F(1))))
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """(f, lo, hi) of every envelope scan built, counted where the scan calls
+    `_enumerate_entries`."""
+    calls = []
+    original = envelope._enumerate_entries
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(envelope, "_enumerate_entries", counting)
+    return calls

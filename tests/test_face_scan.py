@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import tropma.envelope as envelope
 from tropma import cli, jsonio
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot
@@ -64,19 +63,6 @@ def two_faces(tmp_path):
     metric = tmp_path / "f.json"
     metric.write_text(jsonio.dumps(_tangent_function(jsonio.dec_cocycle(ID2), 2)))
     return str(spec), str(metric)
-
-
-@pytest.fixture()
-def builds(monkeypatch):
-    calls = []
-    original = envelope._enumerate_entries
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(envelope, "_enumerate_entries", counting)
-    return calls
 
 
 @pytest.mark.parametrize("argv", [

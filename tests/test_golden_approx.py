@@ -3,7 +3,10 @@
 The golden files in tests/golden/ hold `jsonio.dumps` of the `approximate`
 output for the product of two Tate curves (`id2`: Λ = Z², b = I,
 z₀ = (1/2, 1/2)) and a skew form (`skew2`: b = [[2,1],[1,2]], z₀ = (1, 1)),
-with Σ = the seven faces of the standard simplex, ε = 1/4 and seeds 0 and 1.
+with Σ = the seven faces of the standard simplex, ε = 1/4 and seeds 0 and 1,
+and for their analogues in dimension 3 (`id3`: Λ = Z³, b = I,
+z₀ = (1/2, 1/2, 1/2); `skew3`: b = [[2,1,0],[1,2,1],[0,1,2]], z₀ = (1, 1, 1))
+with Σ = the fifteen faces of the standard tetrahedron, ε = 1/4 and seed 0.
 They were written before the perturbation certificate changed, so a change
 to any accepted draw, piece or certificate field shows as a byte difference.
 Regenerate them only for a deliberate artifact change, with
@@ -13,6 +16,7 @@ Regenerate them only for a deliberate artifact change, with
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -27,11 +31,22 @@ COCYCLES = {
             "z0": ["1/2", "1/2"], "polarized": True},
     "skew2": {"n": 2, "periods": [[1, 0], [0, 1]], "b": [[2, 1], [1, 2]],
               "z0": [1, 1], "polarized": True},
+    "id3": {"n": 3, "periods": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "b": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "z0": ["1/2", "1/2", "1/2"], "polarized": True},
+    "skew3": {"n": 3, "periods": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+              "b": [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+              "z0": [1, 1, 1], "polarized": True},
 }
 SIMPLEX_FACES = [[[0, 0]], [[1, 0]], [[0, 1]],
                  [[0, 0], [1, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]],
                  [[0, 0], [1, 0], [0, 1]]]
-CASES = [(name, seed) for name in sorted(COCYCLES) for seed in (0, 1)]
+TETRAHEDRON = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+SIGMA = {2: SIMPLEX_FACES,
+         3: [[list(v) for v in face] for size in range(1, 5)
+             for face in itertools.combinations(TETRAHEDRON, size)]}
+CASES = [(name, seed) for name in ("id2", "skew2") for seed in (0, 1)] + \
+    [("id3", 0), ("skew3", 0)]
 
 
 def golden_path(name: str, seed: int) -> str:
@@ -44,7 +59,7 @@ def artifact(name: str, seed: int, workdir: str) -> str:
     out = os.path.join(workdir, f"out_{name}_{seed}.json")
     with open(req, "w", encoding="utf-8") as fh:
         json.dump({"cocycle": COCYCLES[name], "eps": "1/4",
-                   "sigma": [{"vertices": v} for v in SIMPLEX_FACES]}, fh)
+                   "sigma": [{"vertices": v} for v in SIGMA[COCYCLES[name]["n"]]]}, fh)
     code = cli.main(["approximate", "--in", req, "--seed", str(seed), "--out", out])
     assert code == 0
     with open(out, encoding="utf-8") as fh:

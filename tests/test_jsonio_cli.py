@@ -95,7 +95,7 @@ class TestRoundTrips:
                 if err is not None:
                     jsonio.dec_q(err)
             decoded += 1
-        assert decoded == 24     # ten benchmark inputs at each seed, and four artifacts
+        assert decoded == 26     # ten benchmark inputs at each seed, and six artifacts
 
     def test_cocycle(self, tate):
         assert jsonio.dec_cocycle(jsonio.enc_cocycle(tate)) == tate

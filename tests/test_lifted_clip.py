@@ -175,9 +175,13 @@ def test_a_box_cutting_every_translate_restarts(two_tate):
     # holds the whole square around 0
     f = tangent_pl(two_tate, 1)
     flo, fhi = _fundamental_bbox(two_tate)
+
+    def box(collar):
+        return tuple(a - collar for a in flo), tuple(b + collar for b in fhi)
+
     with pytest.raises(_CollarTooSmall):
-        pl._walk_cells(f, flo, fhi, F(1, 4))
-    decomp = pl._walk_cells(f, flo, fhi, F(1, 2) + F(1, 97))[0]
+        pl._walk_cells(f, *box(F(1, 4)))
+    decomp = pl._walk_cells(f, *box(F(1, 2) + F(1, 97)))[0]
     assert decomp.cells == linearity_cells(PeriodicPLFunction(two_tate, f.pieces))[0].cells
 
 
