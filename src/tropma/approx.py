@@ -28,7 +28,7 @@ from .errors import CellWalkError, PerturbationError, StrictificationError
 from .linalg import Vec, dot, vsub
 from .plfunc import (PeriodicDecomposition, TransversalityReport, _closure_under_faces,
                      _walk_box, certify_linearity_tiling, check_transversal, linearity_cells)
-from .polyhedra import Polytope
+from .polyhedra import Polytope, bbox
 from .value import Value, setfield
 
 
@@ -242,8 +242,7 @@ def _build_barycentric(f: PeriodicPLFunction, decomp: PeriodicDecomposition,
             centers.append(tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts)))
 
     g = PeriodicPLFunction(c, pieces)
-    points = (*_walk_box(g), *targets, *centers)
-    scan = g.scan_for(tuple(map(min, *points)), tuple(map(max, *points)))
+    scan = g.scan_for(*bbox((*_walk_box(g), *targets, *centers)))
 
     seen: set[tuple] = set()
     for e in scan.entries:

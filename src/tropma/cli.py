@@ -12,7 +12,6 @@ or a failed mass check).  A malformed flag is an input error like any other.
 from __future__ import annotations
 
 import os
-import re
 import sys
 import time
 from fractions import Fraction
@@ -253,12 +252,7 @@ class _Flag:
         self.repeat = repeat
         self.choices = choices
 
-    @property
-    def label(self) -> str:
-        return "/".join(self.names)
 
-
-_HELP = _Flag(("-h", "--help"), "show this help message and exit", type=bool)
 _IN = _Flag(("--in",), "input JSON file", dest="infile", required=True)
 _OUT = _Flag(("--out",), "output file (stdout if empty)", default="")
 
@@ -291,153 +285,75 @@ COMMANDS = {
     "plot": (cmd_plot, "deterministic SVG of 2-D data", (_IN, _OUT)),
 }
 
-# Flags are read as argparse reads them, and its error messages are kept
-# word for word: a flag may be abbreviated to a unique prefix and given as
-# --flag value or --flag=value; '--' makes every later argument a value; a
-# value may not look like a flag unless it looks like a negative number.
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
+def _plain(argv: list):
+    """The namespace argparse reads from an argv in the canonical form, else None.
 
-def _error(prog: str, message: str):
-    return FormatError(f"{prog}: {message}")
-
-
-def _option(options: dict, arg: str, prog: str):
-    """None if arg is a value, else (flag, option, explicit value or None),
-    with flag None for an option that no flag matches."""
-    if not arg or arg[0] != "-":
+    In the canonical form the command comes first, then each flag by its full
+    name, with its value after '=' or as the next argument.  No value starts
+    with '-' (argparse reads '--in=--' as an empty list), only a repeatable
+    flag is given twice, a switch takes no '=', each value passes its flag's
+    type and choices, and every required flag is given.  Every call the
+    benchmark and the docs make has this form, so none imports argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if arg in options:
-        return options[arg], arg, None
-    if len(arg) == 1:
-        return None
-    name, eq, value = arg.partition("=")
-    if eq and name in options:
-        return options[name], name, value
-    if arg[1] == "-":
-        matches = [(flag, option, value if eq else None)
-                   for option, flag in options.items() if option.startswith(name)]
-    else:
-        matches = [(options[arg[:2]], arg[:2], arg[2:])] if arg[:2] in options else []
-    if len(matches) > 1:
-        raise _error(prog, f"ambiguous option: {arg} could match "
-                           f"{', '.join(option for _, option, _ in matches)}")
-    if matches:
-        return matches[0]
-    if _NEGATIVE.match(arg) or " " in arg:
-        return None
-    return None, arg, None
-
-
-def _switch(options: dict, flag: _Flag, option: str, value, prog: str) -> _Flag:
-    """The switch given as option with an explicit value: an error, except
-    that single-dash switches chain (-hh is -h -h)."""
-    while value is not None:
-        nxt = "-" + value[:1]
-        if option[1] == "-" or not value or nxt not in options:
-            raise _error(prog, f"argument {flag.label}: ignored explicit argument {value!r}")
-        flag, option, value = options[nxt], nxt, value[1:] or None
-    return flag
-
-
-def _help(command=None) -> None:
-    """Print the help of a command, or of the program, and exit 0."""
-    if command is None:
-        lines = ["usage: tropma <command> [flags]", "",
-                 "Exact Monge-Ampere measures of toric metrics on tropical abelian varieties",
-                 "", "commands:"]
-        lines += [f"  {name:<18}{text}" for name, (_, text, _) in COMMANDS.items()]
-        lines += ["", "Run 'tropma <command> --help' for the flags of a command."]
-    else:
-        _, text, flags = COMMANDS[command]
-        usage = ["[-h]"]
-        rows = [("-h, --help", _HELP.help)]
-        for f in flags:
-            spec = f.names[-1] if f.type is bool else f"{f.names[-1]} {f.dest.upper()}"
-            usage.append(spec if f.required else f"[{spec}]")
-            choices = f" (one of {', '.join(f.choices)})" if f.choices else ""
-            rows.append((spec, f.help + choices))
-        lines = [f"usage: tropma {command} {' '.join(usage)}", "", text, "", "flags:"]
-        lines += [f"  {spec:<20}{line}" for spec, line in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
-    raise SystemExit(0)
-
-
-def _parse_command(command: str, argv: list):
-    """(args, the arguments no flag reads) for one command's flags."""
-    func, _, flags = COMMANDS[command]
-    prog = f"tropma {command}"
-    options = {name: f for f in (_HELP, *flags) for name in f.names}
-    kinds = []
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            kinds += ["--"] + [None] * (len(argv) - i - 1)
-            break
-        kinds.append(_option(options, arg, prog))
-    args = SimpleNamespace(command=command, func=func, **{f.dest: f.default for f in flags})
-    seen, extras = set(), []
-    i = 0
-    while i < len(argv):
-        kind = kinds[i]
-        i += 1
-        if kind is None or kind == "--" or kind[0] is None:
-            extras.append(argv[i - 1])
-            continue
-        flag, option, value = kind
+    func, _, flags = COMMANDS[argv[0]]
+    by_name = {f.names[-1]: f for f in flags}
+    args = SimpleNamespace(command=argv[0], func=func, **{f.dest: f.default for f in flags})
+    seen = set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        flag = by_name.get(name)
+        if flag is None or flag in seen and not flag.repeat or flag.type is bool and eq:
+            return None
         if flag.type is bool:
-            if _switch(options, flag, option, value, prog) is _HELP:
-                _help(command)
             value = True
-        elif value is None:
-            if i == len(argv) or kinds[i] is not None:
-                raise _error(prog, f"argument {flag.label}: expected one argument")
-            value = argv[i]
-            i += 1
+        else:
+            value = value if eq else next(rest, "-")    # a missing value fails the '-' rule
+            if value.startswith("-") or flag.choices and value not in flag.choices:
+                return None
+            if flag.type is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if flag.repeat:
+                value = (getattr(args, flag.dest) or []) + [value]
         seen.add(flag)
-        if flag.type is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise _error(prog, f"argument {flag.label}: invalid int value: {value!r}") from None
-        if flag.choices and value not in flag.choices:
-            raise _error(prog, f"argument {flag.label}: invalid choice: {value!r} (choose from "
-                               f"{', '.join(map(repr, flag.choices))})")
-        if flag.repeat:
-            value = (getattr(args, flag.dest) or []) + [value]
         setattr(args, flag.dest, value)
-    missing = [f.label for f in flags if f.required and f not in seen]
-    if missing:
-        raise _error(prog, f"the following arguments are required: {', '.join(missing)}")
-    return args, extras
+    return args if all(f in seen for f in flags if f.required) else None
+
+
+def _argparse(argv: list):
+    """argv read by an argparse parser built from COMMANDS; a usage error is a
+    FormatError with argparse's message, and --help prints argparse's help."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise FormatError(f"{self.prog}: {message}")
+
+    top = Parser(prog="tropma", usage="tropma <command> [flags]",
+                 description="Exact Monge-Ampere measures of toric metrics on tropical "
+                             "abelian varieties")
+    sub = top.add_subparsers(dest="command", required=True, prog="tropma")
+    for command, (func, text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text, description=text)
+        for f in flags:
+            kw = ({"action": "store_true"} if f.type is bool else {"action": "append"} if f.repeat
+                  else {"type": f.type, "default": f.default, "required": f.required,
+                        "choices": f.choices})
+            p.add_argument(*f.names, dest=f.dest, help=f.help, **kw)
+        p.set_defaults(func=func)
+    return top.parse_args(argv)
 
 
 def parse_args(argv: list):
     """The command's handler and flag values as attributes of one namespace:
     command, func and one attribute per flag of the command."""
-    options = {name: _HELP for name in _HELP.names}
-    args, extras = None, []
-    for i, arg in enumerate(argv):
-        kind = None if arg == "--" else _option(options, arg, "tropma")
-        if kind is None:
-            if arg == "--" and i == len(argv) - 1:
-                break                   # '--' with nothing after it names no command
-            if arg not in COMMANDS:
-                raise _error("tropma", f"argument command: invalid choice: {arg!r} (choose from "
-                                       f"{', '.join(map(repr, COMMANDS))})")
-            args, more = _parse_command(arg, argv[i + 1:])
-            extras += more
-            break
-        flag, option, value = kind
-        if flag is None:
-            extras.append(arg)
-        else:
-            _switch(options, flag, option, value, "tropma")
-            _help()
-    if args is None:
-        raise _error("tropma", "the following arguments are required: command")
-    if extras:
-        raise _error("tropma", f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return _plain(argv) or _argparse(argv)
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .errors import CertificateError
 from .linalg import Mat, Vec, dot, vec
-from .polyhedra import box_corners
+from .polyhedra import bbox, box_corners
 from .value import Value, setfield
 
 if TYPE_CHECKING:
@@ -110,8 +110,7 @@ class PeriodicPLFunction:
         if self._scan is not None and self._scan.covers(lo, hi):
             return self._scan
         if self._scan is not None:
-            lo = tuple(min(a, b) for a, b in zip(lo, self._scan.lo))
-            hi = tuple(max(a, b) for a, b in zip(hi, self._scan.hi))
+            lo, hi = bbox((lo, hi, self._scan.lo, self._scan.hi))
         self._scan = _EnvelopeScan(self, lo, hi)
         return self._scan
 
@@ -367,27 +366,6 @@ def _ellipsoid_points(q: _QuadraticData, t: int, h: Sequence[int], r: int):
     yield from walk(0, h, r, ())
 
 
-def _ellipsoid_box(q: _QuadraticData, t: int, h: Sequence[int], r: int
-                   ) -> Optional[list[tuple[int, int]]]:
-    """Inclusive integer bounds (lo_i, hi_i) of the box around the ellipsoid
-    t·kᵀ·b_int·k - <h, k> <= r, or None if it is empty: its centre k0 = A·h/(2tD)
-    rounded inwards, widened by the ceiling of each half-axis extent."""
-    d, adj = q.tails[0]
-    ah = [sum(a * x for a, x in zip(row, h)) for row in adj]
-    big_n = 4 * t * d * r + sum(a * x for a, x in zip(ah, h))
-    if big_n < 0:
-        return None
-    den = 2 * t * d
-    out = []
-    for i, u in enumerate(ah):
-        z = big_n * adj[i][i]
-        s = 0 if z <= 0 else -(-math.isqrt(z) // den)
-        if s * den * s * den < z:
-            s += 1
-        out.append((-(-u // den) - s, u // den + s))
-    return out
-
-
 def _candidate_ks(f: PeriodicPLFunction, points: Sequence[Vec],
                   thresholds: Sequence[Fraction], keep_h: bool = False):
     """Translates (rep, k) whose value at some points[j] is >= thresholds[j].
@@ -446,15 +424,18 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
     the box is at least each minorant at some corner, in particular at least
     the minorant g largest at the box's centre; the candidates are the
     integer points of the ellipsoids {value at corner x_j >= g(x_j)}
-    (`_candidate_ks`).  Two filters cut them down: the pruning rule
-    (`_may_attain`) against every minorant, and the t0 condition, which keeps
-    a candidate only inside the box around some corner's ellipsoid
-    {value >= t0} for the affine lower bound t0 = max_p min_box p; the entries
-    are thus exactly those of a bounding-box enumeration at t0 followed by
-    the pruning rule.  They are a superset of every argmax set over the box,
-    so evaluation results do not depend on the pruning.  All comparisons run
-    on integer forms of the values at the corners, and the kept translates'
-    slopes and constants are derived on integers too (`_translate_ints`).
+    (`_candidate_ks`).  The pruning rule (`_may_attain`) then keeps those
+    that no minorant beats at every corner.
+
+    One minorant is the constant t0 = max_p min_box p: every piece p is a
+    translate (by k = 0), so F >= p >= min_box p on the box.  It is exact as
+    a row: a translate that attains at y in the box has value(y) = F(y) >= t0,
+    and an affine function takes its maximum over a box at a corner, so its
+    value is >= t0 at some corner.  The kept entries are a superset of every
+    argmax set over the box, so evaluation results do not depend on the
+    pruning.  All comparisons run on integer forms of the values at the
+    corners, and the kept translates' slopes and constants are derived on
+    integers too (`_translate_ints`).
     """
     c = f.cocycle
     q = _cocycle_quadratic_data(c)
@@ -468,18 +449,14 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
     js = range(len(corners))
     floors = [[forms.value(pi, j, k, _quad_form(q.b_int, k)) for j in js]
               for pi, k in minorants]
-    t0 = max(min(row) for row in forms.base)
-    boxes = [[box for j in js if (box := _ellipsoid_box(q, forms.t, forms.h[pi][j],
-                                                        forms.base[pi][j] - t0))]
-             for pi in range(len(f.pieces))]
+    floors.append([max(min(row) for row in forms.base)] * len(corners))
 
     scale = _translate_scale(q, f.pieces)
     reps = [_piece_ints(q, p, scale) for p in f.pieces]
     kept = []
     for pi, k in sorted(cand):
         raw = _quad_form(q.b_int, k)
-        if _may_attain([forms.value(pi, j, k, raw) for j in js], floors) and \
-                any(all(a <= x <= b for x, (a, b) in zip(k, box)) for box in boxes[pi]):
+        if _may_attain([forms.value(pi, j, k, raw) for j in js], floors):
             kept.append((pi, k, *_translate_ints(q, reps[pi], scale, k, raw)))
 
     # reduce scale to the least common denominator of all kept slopes and constants
@@ -498,12 +475,10 @@ def _enumerate_entries(f: PeriodicPLFunction, lo: Vec, hi: Vec) -> _Entries:
 def evaluate(f: PeriodicPLFunction, omega: Sequence) -> tuple[Fraction, list[TranslatedPiece]]:
     """Exact sup over all translates at ω, with the full set of argmax pieces."""
     w = vec(omega)
-    box = (w, w) if f.cocycle is None else (*_fundamental_bbox(f.cocycle), w)
-    scan = f.scan_for(tuple(map(min, *box)), tuple(map(max, *box)))
+    scan = f.scan_for(*bbox((w,) if f.cocycle is None else (*_fundamental_bbox(f.cocycle), w)))
     val, arg = scan.eval(w)
     return val, [scan.entries[i] for i in arg]
 
 
 def _fundamental_bbox(c: Cocycle) -> tuple[Vec, Vec]:
-    cols = list(zip(*c.fundamental_corners()))
-    return tuple(min(col) for col in cols), tuple(max(col) for col in cols)
+    return bbox(c.fundamental_corners())

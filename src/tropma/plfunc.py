@@ -23,7 +23,7 @@ from .envelope import (AffinePiece, PeriodicPLFunction, _candidate_ks, _cocycle_
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Vec, dot, vadd, vsub
 from .polyhedra import (Polytope, _canon_ineq, _cap_vertices, _faces, _int_halfspace,
-                        _integer_points, boxes_meet, clip, envelope_clip, faces,
+                        _integer_points, bbox, boxes_meet, clip, envelope_clip, faces,
                         from_incidence, graph_point, volume)
 from .value import Value, setfield
 
@@ -501,7 +501,7 @@ def _face_orbits(d: PeriodicDecomposition, extra: Sequence[Vec]):
     for cell in d.cells:
         verts = [next(pts) for _ in cell.vertices]
         lat = [tuple(sum(a * b for a, b in zip(row, v)) for row in pinv) for v in verts]
-        cells.append((_int_box(verts), []))
+        cells.append((bbox(verts), []))
         for idx, ff, tight in _faces(cell):
             ps = sorted(lat[i] for i in idx)
             k0 = tuple(x // (pden * den) for x in ps[0])
@@ -512,13 +512,8 @@ def _face_orbits(d: PeriodicDecomposition, extra: Sequence[Vec]):
             orbit = orbits[rep]
             mu = [a - b for a, b in zip(k0, bases[orbit][2])]
             off = tuple(sum(m * lam[j] for m, lam in zip(mu, lams)) for j in range(n))
-            cells[-1][1].append((orbit, _int_box([verts[i] for i in idx]), off))
+            cells[-1][1].append((orbit, bbox([verts[i] for i in idx]), off))
     return den, lams, extra, cells, bases
-
-
-def _int_box(pts: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    cols = list(zip(*pts))
-    return [min(x) for x in cols], [max(x) for x in cols]
 
 
 def _translator(p: Polytope, verts: Sequence[tuple[int, ...]], den: int):
@@ -594,15 +589,13 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
             for _, verts, _, _ in bases]
     near = []       # (bbox, shift, faces) of each cell translate over Σ's box
     if sigmas:
-        lo = tuple(min(col) for col in zip(*(s.bbox()[0] for s in sigmas)))
-        hi = tuple(max(col) for col in zip(*(s.bbox()[1] for s in sigmas)))
-        for ci, k in _shifts_meeting(d, lo, hi):
+        for ci, k in _shifts_meeting(d, *bbox([x for s in sigmas for x in s.bbox()])):
             (clo, chi), fs = cells[ci]
             t = [sum(ki * lam[j] for ki, lam in zip(k, lams)) for j in range(n)]
             near.append((vadd(clo, t), vadd(chi, t), t, fs))
     rows, shifted, pts = [], {}, iter(pts)
     for s in sigmas:
-        slo, shi = _int_box([next(pts) for _ in s.vertices])
+        slo, shi = bbox([next(pts) for _ in s.vertices])
         srows = [_int_halfspace(a, cc, 1) for a, cc in s.equations]
         cuts = [([den * x for x in a], den * cc, a) for a, cc in
                 (_int_halfspace(*h, 1) for h in s.halfspaces)]

@@ -155,9 +155,7 @@ class Polytope:
 
     def bbox(self) -> tuple[Vec, Vec]:
         if self._bbox is None:
-            cols = list(zip(*self.vertices))
-            self._bbox = (tuple(min(col) for col in cols),
-                          tuple(max(col) for col in cols))
+            self._bbox = bbox(self.vertices)
         return self._bbox
 
     def contains(self, x: Sequence[Fraction]) -> bool:
@@ -352,6 +350,13 @@ def clip(points: Sequence[tuple[int, ...]], tight: Sequence[frozenset],
         if not pts:
             break
     return pts, tight
+
+
+def bbox(points: Iterable[Sequence]) -> tuple[tuple, tuple]:
+    """(lo, hi), the coordinatewise min and max of the points; the box of a
+    union of boxes is the bbox of their corners."""
+    cols = list(zip(*points))
+    return tuple(min(col) for col in cols), tuple(max(col) for col in cols)
 
 
 def box_corners(lo: Vec, hi: Vec) -> list[Vec]:

@@ -24,8 +24,8 @@ from . import linalg
 from .cocycle import Cocycle
 from .envelope import PeriodicPLFunction, _EnvelopeScan
 from .linalg import Mat, Vec, vec, vsub
-from .polyhedra import (AffineLatticeFrame, Polytope, envelope_clip, graph_point, hull,
-                        volume)
+from .polyhedra import (AffineLatticeFrame, Polytope, bbox, envelope_clip, graph_point,
+                        hull, volume)
 from .value import Value, setfield
 
 if TYPE_CHECKING:       # `degree` runs none of `ma`, so the measures import it where used
@@ -139,9 +139,7 @@ def _scale(spec: SkeletonSpec, face: SkeletonFace) -> Fraction:
 
 def _image_box(face: SkeletonFace) -> tuple[Vec, Vec]:
     """Bounding box of the carrier's tropical image f_aff(carrier)."""
-    images = [face.chart_to_tropical(v) for v in face.carrier.vertices]
-    cols = list(zip(*images))
-    return tuple(min(col) for col in cols), tuple(max(col) for col in cols)
+    return bbox(face.chart_to_tropical(v) for v in face.carrier.vertices)
 
 
 def _pullback_pieces(scan: _EnvelopeScan, face: SkeletonFace
@@ -170,8 +168,7 @@ def _scan_faces(spec: SkeletonSpec, metric: Metric) -> None:
         return
     boxes = [_image_box(f) for f in spec.faces if check_nondegenerate(spec, f)]
     if boxes:
-        metric.scan_for(tuple(min(col) for col in zip(*(lo for lo, _ in boxes))),
-                        tuple(max(col) for col in zip(*(hi for _, hi in boxes))))
+        metric.scan_for(*bbox([x for box in boxes for x in box]))
 
 
 def _pullback_atoms(face: SkeletonFace, metric: PeriodicPLFunction

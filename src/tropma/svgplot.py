@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .envelope import _fundamental_bbox
 from .ma import Measure, total_mass
 from .plfunc import PeriodicDecomposition, _ring2d, _translates_meeting
-from .polyhedra import Polytope
+from .polyhedra import Polytope, bbox
 
 _W = 640
 
@@ -46,12 +46,11 @@ def render(decomposition: Optional[PeriodicDecomposition] = None,
     Cell edges in gray, Σ in blue, Lebesgue pieces shaded by relative density,
     atoms as red discs with area proportional to mass.
     """
-    lo = hi = None
+    boxes = []
     if decomposition is not None:
         if decomposition.cocycle.n != 2:
             raise ValueError("plot supports 2-D only")
-        lo, hi = _fundamental_bbox(decomposition.cocycle)
-    boxes = []
+        boxes.append(_fundamental_bbox(decomposition.cocycle))
     for s in sigma:
         boxes.append(s.bbox())
     if measure is not None:
@@ -59,13 +58,11 @@ def render(decomposition: Optional[PeriodicDecomposition] = None,
             boxes.append((a.at, a.at))
         for p in measure.lebesgue_pieces:
             boxes.append(p.support.bbox())
-    for blo, bhi in boxes:
-        if len(blo) != 2:
-            raise ValueError("plot supports 2-D only")
-        lo = blo if lo is None else tuple(min(a, b) for a, b in zip(lo, blo))
-        hi = bhi if hi is None else tuple(max(a, b) for a, b in zip(hi, bhi))
-    if lo is None:
+    if any(len(blo) != 2 for blo, _ in boxes):
+        raise ValueError("plot supports 2-D only")
+    if not boxes:
         raise ValueError("nothing to plot")
+    lo, hi = bbox([x for box in boxes for x in box])
     pad = max(Fraction(1, 10), *(b - a for a, b in zip(lo, hi))) / 10
     lo = tuple(a - pad for a in lo)
     hi = tuple(b + pad for b in hi)

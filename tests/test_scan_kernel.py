@@ -13,15 +13,17 @@ with a brute-force scan of the ellipsoids' bounding boxes.
 import itertools
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_int_kernels import reference_translate
 
-from tropma import linalg
+from tropma import linalg, tangent_pl
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot, vec, vsub
 from tropma.envelope import (AffinePiece, PeriodicPLFunction, TranslatedPiece, _candidate_ks,
                              _enumerate_entries, _point_envelope_entry)
+from tropma.plfunc import _walk_box
 from tropma.polyhedra import box_corners as _box_corners
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -106,7 +108,7 @@ def reference_entries(f, lo, hi):
                for steps in itertools.product(range(grid), repeat=n)]
     minorants = [reference_translate(c, f.pieces[pi], k)
                  for pi, k in (reference_point_entry(f, gp) for gp in gridpts)]
-    mvals = [[g.value(x) for x in corners] for g in minorants]
+    mvals = [[g.value(x) for x in corners] for g in minorants] + [[t0] * len(corners)]
     out = []
     for pi, k in sorted(cand):
         kf = vec(k)
@@ -139,6 +141,32 @@ def test_entries_match_fraction_pruning(data):
     assert got.den == den
     assert got.ints == [(tuple(int(x * den) for x in e.piece.m), int(e.piece.c * den))
                         for e in want]
+
+
+def assert_entries_reach_t0(f, lo, hi):
+    # F >= t0 = max_p min_box p on the box, so a translate that attains there
+    # is >= t0 at some corner; the scan keeps no other
+    corners = _box_corners(lo, hi)
+    t0 = max(min(p.value(x) for x in corners) for p in f.pieces)
+    for e in _enumerate_entries(f, lo, hi):
+        assert any(e.piece.value(x) >= t0 for x in corners), (e.rep_index, e.k)
+
+
+@SETTINGS
+@given(functions_and_boxes())
+def test_every_entry_reaches_t0_at_a_corner(data):
+    assert_entries_reach_t0(*data)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [((1, 0), (0, 1)), ((2, 1), (1, 2))], ids=["id2", "skew2"])
+def test_every_walked_entry_reaches_t0_at_a_corner(b, k):
+    # the tangent meshes on their walk boxes, where the bounding boxes of the
+    # ellipsoids {value >= t0} hold translates below t0 at every corner
+    c = Cocycle.make([[1, 0], [0, 1]], b, [F(1, 2), F(1, 2)] if b[0][1] == 0 else [1, 1])
+    f = tangent_pl(c, k)
+    for step in (0, 1):
+        assert_entries_reach_t0(f, *_walk_box(f, step))
 
 
 @SETTINGS
