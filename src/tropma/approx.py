@@ -28,7 +28,7 @@ from .errors import CellWalkError, PerturbationError, StrictificationError
 from .linalg import Vec, dot, vsub
 from .plfunc import (PeriodicDecomposition, TransversalityReport, _closure_under_faces,
                      _walk_box, certify_linearity_tiling, check_transversal, linearity_cells)
-from .polyhedra import Polytope, bbox
+from .polyhedra import Polytope, _reduced, bbox
 from .value import Value, setfield
 
 
@@ -330,8 +330,8 @@ def _min_winning_gap(f: PeriodicPLFunction) -> Fraction:
         val, arg = scan.eval(center)
         rest = [e for i, e in enumerate(scan._ints) if i not in arg]
         if rest:
-            dw = linalg.common_denominator(center)
-            second, _ = _int_argmax(rest, tuple(int(x * dw) for x in center), dw)
+            *w, dw = _reduced(center)
+            second, _ = _int_argmax(rest, w, dw)
             gaps.append(val - Fraction(second, scan.den * dw))
     return min(gaps, default=Fraction(1))
 

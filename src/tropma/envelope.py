@@ -27,7 +27,7 @@ from . import linalg
 from .cocycle import Cocycle, UnpolarizedError
 from .errors import CertificateError
 from .linalg import Mat, Vec, dot, vec
-from .polyhedra import bbox, box_corners
+from .polyhedra import _integer_points, _reduced, bbox, box_corners
 from .value import Value, setfield
 
 if TYPE_CHECKING:
@@ -156,8 +156,8 @@ class _EnvelopeScan:
             return hit
         if self.f.cocycle is not None and not self.covers(point, point):
             raise CertificateError(f"envelope scan read at {point}, outside its box")
-        dw = linalg.common_denominator(point)
-        best, arg = _int_argmax(self._ints, tuple(int(x * dw) for x in point), dw)
+        *w, dw = _reduced(point)
+        best, arg = _int_argmax(self._ints, w, dw)
         out = (Fraction(best, self.den * dw), tuple(arg))
         self._cache[point] = out
         return out
@@ -165,8 +165,8 @@ class _EnvelopeScan:
 
 def integer_pieces(pieces: Sequence[AffinePiece]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """(den, [(den·m, den·c) per piece]) for the least common denominator den."""
-    den = linalg.common_denominator([x for p in pieces for x in p.m] + [p.c for p in pieces])
-    return den, [(tuple(int(x * den) for x in p.m), int(p.c * den)) for p in pieces]
+    den, pts = _integer_points([(*p.m, p.c) for p in pieces])
+    return den, [(p[:-1], p[-1]) for p in pts]
 
 
 def _int_argmax(ints, w: Sequence[int], dw: int) -> tuple[int, list[int]]:
@@ -322,8 +322,7 @@ def _point_forms(f: PeriodicPLFunction, q: _QuadraticData, points: Sequence[Vec]
     """The `_Forms` of f's pieces at the points, at scale s·dw for the
     `_translate_scale` s and the common denominator dw of the points."""
     s = _translate_scale(q, f.pieces)
-    dw = linalg.common_denominator(x for w in points for x in w)
-    ws = [tuple(_scaled_int(x, dw) for x in w) for w in points]
+    dw, ws = _integer_points(points)
     pbw = [tuple(sum(a * b for a, b in zip(row, w)) for row in q.pb) for w in ws]
     hs, bases = [], []
     for m_int, c_int, g_int in (_piece_ints(q, p, s) for p in f.pieces):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Sequence
@@ -23,7 +22,7 @@ from .envelope import (AffinePiece, PeriodicPLFunction, _candidate_ks, _cocycle_
 from .errors import CellWalkError, CertificateError  # CertificateError: re-exported
 from .linalg import Vec, dot, vadd, vsub
 from .polyhedra import (Polytope, _canon_ineq, _cap_vertices, _faces, _int_halfspace,
-                        _integer_points, bbox, boxes_meet, clip, envelope_clip, faces,
+                        _integer_points, _reduced, bbox, boxes_meet, clip, envelope_clip, faces,
                         from_incidence, graph_point, volume)
 from .value import Value, setfield
 
@@ -441,19 +440,27 @@ def check_cocycle_rule(f: PeriodicPLFunction, samples: int = 3) -> bool:
 
 
 class TransversalityRow(Value):
-    _fields = ("sigma", "cell", "intersection_dim", "expected", "definition_ok",
+    """A pair (σ, Δ + λ) of `check_transversal`: Δ (`face`) is a face of a
+    canonical cell, and Δ + λ (`cell`) is built only when it is read."""
+
+    _fields = ("sigma", "face", "shift", "intersection_dim", "expected", "definition_ok",
                "criterion_ok")
 
-    def __init__(self, sigma: Polytope, cell: Polytope,
+    def __init__(self, sigma: Polytope, face: Polytope, shift: Vec,
                  intersection_dim: int,   # -1 when empty
                  expected: int,           # D(σ, Δ) = dim σ + dim Δ - n
                  definition_ok: bool, criterion_ok: bool):
         setfield(self, "sigma", sigma)
-        setfield(self, "cell", cell)
+        setfield(self, "face", face)
+        setfield(self, "shift", shift)
         setfield(self, "intersection_dim", intersection_dim)
         setfield(self, "expected", expected)
         setfield(self, "definition_ok", definition_ok)
         setfield(self, "criterion_ok", criterion_ok)
+
+    @property
+    def cell(self) -> Polytope:
+        return self.face.translate(self.shift)
 
 
 class TransversalityReport(Value):
@@ -480,57 +487,27 @@ def _closure_under_faces(sigma: tuple[Polytope, ...]) -> tuple[Polytope, ...]:
     return tuple(out[k] for k in sorted(out))
 
 
-def _face_orbits(d: PeriodicDecomposition, extra: Sequence[Vec]):
-    """(den, periods, extra, cells, bases) on integers, all times the common
+def _cell_faces(d: PeriodicDecomposition, extra: Sequence[Vec]):
+    """(den, periods, extra, faces) on integers, all times the common
     denominator den of the periods, the cell vertices and the points `extra`.
-    cells[ci] is (bbox of cell ci, [(orbit, bbox, offset) per face]), a face
-    (`faces`) being its Λ-orbit's base shifted by offset, and bases[orbit] is
-    (face, vertices, k0, tight) of the orbit's first face, lying at λ_k0 from
-    the translate whose least vertex in lattice coordinates lies in the
-    half-open fundamental parallelepiped, which keys the orbit; tight holds
-    the ids of its cell's inequalities that each vertex lies on.  A bbox is
-    (lows, highs)."""
-    c = d.cocycle
-    n = c.n
-    pden, pinv = _integer_points(_cocycle_quadratic_data(c).period_inv)
-    den, pts = _integer_points([*c.periods, *extra,
+    faces[ci] holds (ff, shape, vertices, bbox, homogeneous vertices, tight,
+    ff's equations as rows) per face ff of cell ci (`_faces`): shape numbers
+    the differences of the vertices to the first, and tight holds the ids of
+    the cell's inequalities that each vertex lies on."""
+    n = d.cocycle.n
+    den, pts = _integer_points([*d.cocycle.periods, *extra,
                                 *(v for cell in d.cells for v in cell.vertices)])
     lams, extra, pts = pts[:n], pts[n:n + len(extra)], iter(pts[n + len(extra):])
-    orbits: dict[tuple, int] = {}
-    bases, cells = [], []
+    cells, shapes = [], {}
     for cell in d.cells:
-        verts = [next(pts) for _ in cell.vertices]
-        lat = [tuple(sum(a * b for a, b in zip(row, v)) for row in pinv) for v in verts]
-        cells.append((bbox(verts), []))
+        verts, homs = [next(pts) for _ in cell.vertices], [_reduced(v) for v in cell.vertices]
+        cells.append([])
         for idx, ff, tight in _faces(cell):
-            ps = sorted(lat[i] for i in idx)
-            k0 = tuple(x // (pden * den) for x in ps[0])
-            rep = tuple(tuple(x - pden * den * k for x, k in zip(p, k0)) for p in ps)
-            if rep not in orbits:
-                orbits[rep] = len(bases)
-                bases.append((ff, [verts[i] for i in idx], k0, tight))
-            orbit = orbits[rep]
-            mu = [a - b for a, b in zip(k0, bases[orbit][2])]
-            off = tuple(sum(m * lam[j] for m, lam in zip(mu, lams)) for j in range(n))
-            cells[-1][1].append((orbit, bbox([verts[i] for i in idx]), off))
-    return den, lams, extra, cells, bases
-
-
-def _translator(p: Polytope, verts: Sequence[tuple[int, ...]], den: int):
-    """t -> p.translate(t/den) for integer t, with p's vertices given times
-    den: a halfspace a·x <= c is A·x <= C on integers with A = s·a, and its
-    constant moves to (C·den + A·t)/(s·den)."""
-    hs = [(a, _int_halfspace(a, c, 1), math.lcm(c.denominator, *(x.denominator for x in a)) * den)
-          for a, c in p.equations + p.inequalities]
-    ne = len(p.equations)
-
-    def at(t: Sequence[int]) -> Polytope:
-        moved = tuple((a, Fraction(big_c * den + sum(x * y for x, y in zip(big_a, t)), sd))
-                      for a, (big_a, big_c), sd in hs)
-        return Polytope(p.ambient_dim,
-                        tuple(tuple(Fraction(x + y, den) for x, y in zip(v, t)) for v in verts),
-                        moved[:ne], moved[ne:], p.dim, _validate=False)
-    return at
+            vs = [verts[i] for i in idx]
+            shape = shapes.setdefault(tuple(vsub(v, vs[0]) for v in vs), len(shapes))
+            cells[-1].append((ff, shape, vs, bbox(vs), [homs[i] for i in idx], tight,
+                              [_int_halfspace(a, cc, 1) for a, cc in ff.equations]))
+    return den, lams, extra, cells
 
 
 def _criterion_forms(srows, frows, den: int, expected: int):
@@ -570,59 +547,46 @@ def check_transversal(d: PeriodicDecomposition, sigma: Sequence[Polytope]
     must be disjoint when D(σ,Δ) < 0.
 
     The faces of the canonical cells are computed once, and the rest runs on
-    integers over one common denominator (`_face_orbits`).  A face of a
-    translate is its Λ-orbit's base Δ shifted by λ, and the pair (σ, Δ + λ)
-    is checked as (σ - λ, Δ).  The criterion is set up once per (σ, orbit)
-    (`_criterion_forms`), after which a face costs one integer dot per form.
-    A face whose bbox misses σ's does not meet it; otherwise the
-    intersection is Δ's vertices, with their incidence in Δ's cell, clipped
-    by the rows of σ - λ (`clip`), and its dimension is one less than the
-    rank of its homogeneous points.  Each row holds Δ + λ, built once per
-    orbit and shift (`_translator`).
+    integers over one common denominator (`_cell_faces`).  For each σ, each
+    cell shift λ whose bbox meets σ's (`_shifts_meeting`) gives faces Δ + λ,
+    each checked once, keyed by shape and first vertex, as (σ - λ, Δ).  The
+    criterion is set up once per σ and face of a cell (`_criterion_forms`),
+    after which a shift costs one integer dot per form.  A face whose bbox
+    misses that of σ - λ does not meet it; otherwise the intersection is Δ's
+    vertices, with their incidence in Δ's cell, clipped by the rows of σ - λ
+    (`clip`), and its dimension is one less than the rank of its points.
     """
     n = d.cocycle.n
     sigmas = _closure_under_faces(tuple(sigma))
-    den, lams, pts, cells, bases = _face_orbits(d, [v for s in sigmas for v in s.vertices])
-    movers = [_translator(ff, verts, den) for ff, verts, _, _ in bases]
-    feqs = [[_int_halfspace(a, cc, 1) for a, cc in ff.equations] for ff, _, _, _ in bases]
-    homs = [[tuple(x // math.gcd(*v, den) for x in (*v, den)) for v in verts]
-            for _, verts, _, _ in bases]
-    near = []       # (bbox, shift, faces) of each cell translate over Σ's box
-    if sigmas:
-        for ci, k in _shifts_meeting(d, *bbox([x for s in sigmas for x in s.bbox()])):
-            (clo, chi), fs = cells[ci]
-            t = [sum(ki * lam[j] for ki, lam in zip(k, lams)) for j in range(n)]
-            near.append((vadd(clo, t), vadd(chi, t), t, fs))
-    rows, shifted, pts = [], {}, iter(pts)
+    den, lams, pts, cells = _cell_faces(d, [v for s in sigmas for v in s.vertices])
+    rows, pts = [], iter(pts)
     for s in sigmas:
         slo, shi = bbox([next(pts) for _ in s.vertices])
         srows = [_int_halfspace(a, cc, 1) for a, cc in s.equations]
         cuts = [([den * x for x in a], den * cc, a) for a, cc in
                 (_int_halfspace(*h, 1) for h in s.halfspaces)]
         criteria, seen = {}, set()
-        for clo, chi, shift, fs in near:
-            if not boxes_meet(clo, chi, slo, shi):
-                continue
-            back_lo, back_hi = vsub(slo, shift), vsub(shi, shift)    # σ's box, moved by -shift
-            for orbit, (flo, fhi), off in fs:
-                t = vadd(shift, off)
-                if (orbit, t) in seen:
+        for ci, k in _shifts_meeting(d, *s.bbox()):
+            t = [sum(ki * lam[j] for ki, lam in zip(k, lams)) for j in range(n)]
+            lam = d.cocycle.lattice_vector(k)
+            back_lo, back_hi = vsub(slo, t), vsub(shi, t)    # σ's box, moved by -t
+            for fi, (ff, shape, verts, (flo, fhi), homs, tight, feqs) in enumerate(cells[ci]):
+                key = shape, vadd(verts[0], t)
+                if key in seen:
                     continue
-                seen.add((orbit, t))
-                ff = bases[orbit][0]
-                cell = shifted.get((orbit, t)) or shifted.setdefault((orbit, t), movers[orbit](t))
+                seen.add(key)
                 expected = s.dim + ff.dim - n
                 if not boxes_meet(flo, fhi, back_lo, back_hi):
                     idim = -1
                 else:               # σ - t/den = {den·a·x <= den·c - a·t}
-                    got, _ = clip(homs[orbit], bases[orbit][3], [
+                    got, _ = clip(homs, tight, [
                         (-1 - j, da, dc - sum(map(operator.mul, a, t)))
                         for j, (da, dc, a) in enumerate(cuts)])
                     idim = linalg.rank(got) - 1
-                if orbit not in criteria:
-                    criteria[orbit] = _criterion_forms(srows, feqs[orbit], den, expected)
-                crit_ok = any(b != sum(x * y for x, y in zip(w, t)) for b, w in criteria[orbit])
-                rows.append(TransversalityRow(s, cell, idim, expected, idim in (-1, expected),
+                if (ci, fi) not in criteria:
+                    criteria[ci, fi] = _criterion_forms(srows, feqs, den, expected)
+                crit_ok = any(b != sum(x * y for x, y in zip(w, t)) for b, w in criteria[ci, fi])
+                rows.append(TransversalityRow(s, ff, lam, idim, expected, idim in (-1, expected),
                                               crit_ok))
     violations = tuple((r.sigma, r.cell, r.intersection_dim, r.expected)
                        for r in rows if not r.definition_ok)

@@ -24,8 +24,8 @@ from . import linalg
 from .cocycle import Cocycle
 from .envelope import PeriodicPLFunction, _EnvelopeScan
 from .linalg import Mat, Vec, vec, vsub
-from .polyhedra import (AffineLatticeFrame, Polytope, bbox, envelope_clip, graph_point,
-                        hull, volume)
+from .polyhedra import (AffineLatticeFrame, Polytope, _reduced, bbox, envelope_clip,
+                        graph_point, hull, volume)
 from .value import Value, setfield
 
 if TYPE_CHECKING:       # `degree` runs none of `ma`, so the measures import it where used
@@ -153,8 +153,7 @@ def _pullback_pieces(scan: _EnvelopeScan, face: SkeletonFace
     pullback exactly, and the rows attaining it at y are the entries
     attaining the metric at f_aff(y).
     """
-    dt = linalg.common_denominator(face.f_aff_offset)
-    t = [int(x * dt) for x in face.f_aff_offset]
+    *t, dt = _reduced(face.f_aff_offset)
     cols = [[int(x) * dt for x in col] for col in zip(*face.f_aff_linear)]
     return scan.den * dt, [(tuple(sum(map(operator.mul, m, col)) for col in cols),
                             sum(map(operator.mul, m, t), c * dt)) for m, c in scan._ints]

@@ -567,6 +567,32 @@ def test_optimized_python_gives_the_same_artifact(tmp_path):
     assert json.loads(outs[0])["certificate"]["transversal"]["ok"] is True
 
 
+def test_optimized_python_gives_the_same_3d_artifact(tmp_path):
+    # approximate on id3 (Σ = the tetrahedron's 15 faces, ε = 1/4, seed 0)
+    # runs every n = 3 perturbation certificate, transversality included:
+    # explicit checks all, so python -O writes the golden bytes too
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from test_golden_approx import COCYCLES, SIGMA, golden_path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"cocycle": COCYCLES["id3"], "eps": "1/4",
+                               "sigma": [{"vertices": v} for v in SIGMA[3]]}))
+    want = Path(golden_path("id3", 0)).read_text(encoding="utf-8")
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"out{len(flags)}.json"
+        p = subprocess.run([sys.executable, *flags, "-m", "tropma.cli", "approximate",
+                            "--in", str(req), "--seed", "0", "--out", str(out)],
+                           capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+        assert p.returncode == 0, p.stderr
+        assert out.read_text(encoding="utf-8") == want
+
+
 def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):
     # ma --fundamental, ma --region and degree run the lifted clip and the
     # volume kernel, and ma's mass check; explicit checks all, so python -O

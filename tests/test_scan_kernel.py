@@ -22,7 +22,7 @@ from tropma import linalg, tangent_pl
 from tropma.cocycle import Cocycle
 from tropma.linalg import dot, vec, vsub
 from tropma.envelope import (AffinePiece, PeriodicPLFunction, TranslatedPiece, _candidate_ks,
-                             _enumerate_entries, _point_envelope_entry)
+                             _enumerate_entries, _fundamental_bbox, _point_envelope_entry)
 from tropma.plfunc import _walk_box
 from tropma.polyhedra import box_corners as _box_corners
 
@@ -55,6 +55,19 @@ def functions_and_boxes(draw):
     lo = tuple(draw(small_q) / 2 for _ in range(n))
     hi = tuple(a + draw(st.integers(1, 4)) * F(1, 4) for a in lo)
     return PeriodicPLFunction(c, pieces), lo, hi
+
+
+@st.composite
+def meshes_and_wide_boxes(draw):
+    """The tangent mesh with k = 4 of a cocycle in dimension 2, on a box
+    like the cell walk's (`_walk_box`): its fundamental box, at least one
+    period across, widened by a collar of 1/4 to 1 drawn for each side on its
+    own, so off-centre."""
+    c = draw(cocycles().filter(lambda c: c.n == 2))
+    lo, hi = _fundamental_bbox(c)
+    return (tangent_pl(c, 4),
+            tuple(a - draw(st.integers(1, 4)) * F(1, 4) for a in lo),
+            tuple(b + draw(st.integers(1, 4)) * F(1, 4) for b in hi))
 
 
 # -- the plain Fraction rules -------------------------------------------------
@@ -97,7 +110,9 @@ def reference_point_entry(f, x):
     return best
 
 
-def reference_entries(f, lo, hi):
+def reference_entries(f, lo, hi, t0_row=True):
+    """The kept translates: those at least each minorant at some corner of
+    the box, the constant t0 counting as a minorant unless t0_row is false."""
     c = f.cocycle
     n = c.n
     corners = _box_corners(lo, hi)
@@ -108,7 +123,9 @@ def reference_entries(f, lo, hi):
                for steps in itertools.product(range(grid), repeat=n)]
     minorants = [reference_translate(c, f.pieces[pi], k)
                  for pi, k in (reference_point_entry(f, gp) for gp in gridpts)]
-    mvals = [[g.value(x) for x in corners] for g in minorants] + [[t0] * len(corners)]
+    mvals = [[g.value(x) for x in corners] for g in minorants]
+    if t0_row:
+        mvals.append([t0] * len(corners))
     out = []
     for pi, k in sorted(cand):
         kf = vec(k)
@@ -141,6 +158,23 @@ def test_entries_match_fraction_pruning(data):
     assert got.den == den
     assert got.ints == [(tuple(int(x * den) for x in e.piece.m), int(e.piece.c * den))
                         for e in want]
+
+
+def test_entries_match_fraction_pruning_on_wide_boxes():
+    # on boxes a period or more across, some translate that every grid
+    # minorant keeps falls below t0 at every corner, so the comparison tells
+    # the t0 corner rule from a bounding-box filter
+    pruned = []
+
+    @settings(SETTINGS, max_examples=10)
+    @given(meshes_and_wide_boxes())
+    def check(data):
+        test_entries_match_fraction_pruning.hypothesis.inner_test(data)
+        pruned.append(len(reference_entries(*data, t0_row=False)) >
+                      len(reference_entries(*data)))
+
+    check()
+    assert any(pruned)
 
 
 def assert_entries_reach_t0(f, lo, hi):

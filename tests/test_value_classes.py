@@ -50,7 +50,7 @@ def piece():
 
 
 def row():
-    return TransversalityRow(hull([(0, 0), (1, 0)]), hull(SQUARE), 1, 1, True, True)
+    return TransversalityRow(hull([(0, 0), (1, 0)]), hull(SQUARE), (F(1), F(0)), 1, 1, True, True)
 
 
 # each builds a fresh instance, from fresh field values, every time it is called
