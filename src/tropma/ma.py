@@ -134,8 +134,7 @@ def ma_pl(f: PeriodicPLFunction, region: Optional[Polytope] = None) -> Measure:
     lo, hi = _fundamental_bbox(c) if region is None else region.bbox()
     scan = f.scan_for(lo, hi)
     keep = region.contains if region is not None else lambda y: c.canonicalize(y)[0] == y
-    atoms = tuple(Atom(y, mass) for y, mass in
-                  envelope_atoms(scan._ints, [e.piece.m for e in scan.entries], lo, hi)
+    atoms = tuple(Atom(y, mass) for y, mass, _ in envelope_atoms(scan._ints, scan.den, lo, hi)
                   if keep(y))
     if region is None and sum(a.mass for a in atoms) != linalg.det(c.b) * c.covolume():
         raise CertificateError("MA mass over a fundamental domain is not det(b)·covol(Λ)")

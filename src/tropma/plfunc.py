@@ -117,22 +117,21 @@ def _dim_of_points(pts: Sequence[Vec]) -> int:
 def check_periodic(d: PeriodicDecomposition) -> bool:
     """Validate Λ-periodicity of the decomposition given by representatives.
 
-    Checks that the translates tile a fundamental domain exactly (volumes sum
-    to the covolume, interiors pairwise disjoint) and that any two meeting
-    translates intersect in a common face, so the decomposition descends to
-    the torus.
+    Checks that the translates tile a fundamental domain exactly (the cell
+    volumes sum to the covolume, interiors pairwise disjoint) and that any
+    two meeting translates intersect in a common face, so the decomposition
+    descends to the torus.
+
+    The volume sum is the volume the translates t = C + λ cover in the
+    fundamental parallelepiped P: Σ_t vol(t ∩ P) = Σ_C Σ_λ vol(C ∩ (P - λ))
+    = Σ_C vol(C), since the translates P - λ tile space, meeting only in
+    sets of measure zero.
     """
     c = d.cocycle
     n = c.n
-    dom = c.fundamental_domain()
-    lo, hi = dom.bbox()
-    covol = c.covolume()
-
-    total = Fraction(0)
-    for _, _, t in _translates_meeting(d, lo, hi):
-        total += volume(_cap_vertices(t, dom))
-    if total != covol:
+    if sum(volume(cell.vertices) for cell in d.cells) != c.covolume():
         return False
+    lo, hi = _fundamental_bbox(c)
 
     # Any intersecting pair in the full complex is a lattice translate of a
     # pair meeting an inflated fundamental box, provided the collar exceeds
@@ -190,7 +189,7 @@ def certify_linearity_tiling(f: PeriodicPLFunction, decomp: PeriodicDecompositio
         if key in seen:
             return False, f"class check: cell {i} repeats the Λ-class of another cell"
         seen.add(key)
-    if sum(volume(cell.vertices, cell.inequalities) for cell in decomp.cells) != c.covolume():
+    if sum(volume(cell.vertices) for cell in decomp.cells) != c.covolume():
         return False, "volume check: the cell volumes do not sum to covol(Λ)"
     return True, ""
 

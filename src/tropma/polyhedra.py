@@ -207,9 +207,9 @@ class Polytope:
 def hull(points: Iterable[Sequence]) -> Polytope:
     """Convex hull of rational points, with irredundant V-rep and exact H-rep.
 
-    The facets are found on integers in coordinates of the affine hull
-    (`_facets`), and a point is a vertex when the facets through it meet in
-    that point alone.
+    The facets are found on integers in coordinates of the affine hull, as
+    the vertices of the polar (`_facets`, one `clip`), and a point is a
+    vertex when the facets through it meet in that point alone.
     """
     pts = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
@@ -309,7 +309,8 @@ def clip(points: Sequence[tuple[int, ...]], tight: Sequence[frozenset],
     when their common tight set Z has at least n - 1 ids and no third vertex
     lies on all of Z: Z cuts out the least face holding both, and it is an
     edge when they are its only vertices.  Returns (vertices, tight sets),
-    ([], []) when the polytope is empty.
+    ([], []) when the polytope is empty.  On a polar simplex clipped by one
+    row per point, it also finds `hull`'s facets (`_facets`).
     """
     pts, tight = list(points), list(tight)
     need = len(pts[0]) - 2 if pts else 0
@@ -403,21 +404,23 @@ def envelope_clip(ints: Sequence[tuple[Sequence[int], int]], box_lo: Vec, box_hi
     return [pts[i] for i in keep], [tight[i] for i in keep]
 
 
-def envelope_atoms(ints: Sequence[tuple[Sequence[int], int]], slopes: Sequence[Vec],
-                   box_lo: Vec, box_hi: Vec) -> list[tuple[Vec, Fraction]]:
-    """The Monge-Ampère atoms (y, mass) of F = max_i (m_i·y + c_i) on the box,
-    sorted, for integer entries (m_i, c_i) with rational slopes slopes[i]: the
-    vertices of one `envelope_clip` whose mass is positive.  A vertex's entry
-    ids (those >= 0) are its argmax set, so its mass is the `volume` of the
-    hull of their slopes, zero unless that dual is full-dimensional, i.e.
-    unless y is a vertex of the complex F induces.  A full-dimensional dual's
-    saturated frame is a basis of Z^n, so this is its lattice volume.
+def envelope_atoms(ints: Sequence[tuple[Sequence[int], int]], den: int, box_lo: Vec,
+                   box_hi: Vec) -> list[tuple[Vec, Fraction, list[int]]]:
+    """The Monge-Ampère atoms (y, mass, argmax ids) of F = max_i (m_i·y + c_i)
+    on the box, sorted, for integer entries (den·m_i, den·c_i): the vertices
+    of one `envelope_clip` whose mass is positive.  A vertex's entry ids
+    (those >= 0) are its argmax set, so its mass is the `volume` of the hull
+    of their slopes m_i, that of the integer slopes over den^n: zero unless
+    that dual is full-dimensional, i.e. unless y is a vertex of the complex F
+    induces.  A full-dimensional dual's saturated frame is a basis of Z^n, so
+    this is its lattice volume.
     """
     out = []
     for x, tight in zip(*envelope_clip(ints, box_lo, box_hi)):
-        mass = volume(sorted({slopes[i] for i in tight if i >= 0}))
+        ids = sorted(i for i in tight if i >= 0)
+        mass = volume(sorted({ints[i][0] for i in ids})) / den ** len(box_lo)
         if mass:
-            out.append((graph_point(x), mass))
+            out.append((graph_point(x), mass, ids))
     return sorted(out)
 
 
@@ -524,8 +527,8 @@ def _face_lattice(verts: Sequence[tuple[int, ...]], rows: Sequence[tuple[tuple[i
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a small square integer matrix: written out up to 3×3,
-    where the certificates and kernels spend their time, else by cofactor
-    expansion."""
+    the simplices of the n <= 3 volumes and the minors of `_facets`' polar
+    simplex, else by cofactor expansion."""
     if len(rows) == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -558,31 +561,42 @@ def _facets(pts: list[tuple[int, ...]], d: int) -> list[tuple[tuple[int, ...], i
     a·x <= c at every point, with equality exactly at the indices in `on`.
     [] when the hull is lower-dimensional.
 
-    Every d-subset spans a hyperplane or nothing: its normal is the vector of
-    signed maximal minors of the d - 1 differences, on integers.  The
-    hyperplane supports a facet when no two points lie strictly on opposite
-    sides, and the hull is lower-dimensional when all points lie on it.
+    The facets are the vertices of the polar (Ziegler, Lectures on Polytopes,
+    §2.3), found by one `clip`.  One pass of fraction-free elimination on
+    the differences from pts[0] picks the first d + 1 affinely independent
+    points S.  Centred on their barycenter and scaled by d + 1, a point p is
+    q = (d + 1)·p - ΣS, and the polar of conv(S), {a : a·q_s <= 1, s in S},
+    is a simplex: its vertex i is the facet of conv(S) missing point i, tight
+    on the rest of S.  Clipping it by the row a·q <= 1 of every other point
+    leaves the polar of the hull: a vertex (X, W) is the facet
+    (d + 1)·X·p <= W + X·ΣS, and its tight set is the points on it.
     """
-    facets = {}
-    for combo in itertools.combinations(range(len(pts)), d):
-        p0 = pts[combo[0]]
-        rows = [tuple(x - y for x, y in zip(pts[i], p0)) for i in combo[1:]]
-        a = tuple(-m if j % 2 else m
-                  for j, m in enumerate(_int_det([r[:j] + r[j + 1:] for r in rows])
-                                        for j in range(d)))
-        if not any(a):
-            continue
-        vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
-        c = vals[combo[0]]
-        if all(v == c for v in vals):
-            return []
-        on = frozenset(i for i, v in enumerate(vals) if v == c)
-        if on not in facets:
-            if all(v <= c for v in vals):
-                facets[on] = (a, c, on)
-            elif all(v >= c for v in vals):
-                facets[on] = (tuple(-x for x in a), -c, on)
-    return list(facets.values())
+    simplex, echelon = [0], []
+    for i, p in enumerate(pts):
+        v = [x - y for x, y in zip(p, pts[0])]
+        for k, r in echelon:
+            v = [r[k] * x - v[k] * y for x, y in zip(v, r)]
+        if any(v):
+            echelon.append((next(k for k, x in enumerate(v) if x), v))
+            simplex.append(i)
+            if len(simplex) > d:
+                break
+    else:
+        return []
+    total = [sum(col) for col in zip(*(pts[i] for i in simplex))]
+    q = [tuple((d + 1) * x - t for x, t in zip(p, total)) for p in pts]
+    ids = frozenset(simplex)
+    polar = []
+    for i in simplex:  # X·q_j = W for j != i: the signed maximal minors of the rows (q_j, -1)
+        rows = [(*q[j], -1) for j in simplex if j != i]
+        minors = (_int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d + 1))
+        x = [-m if j % 2 else m for j, m in enumerate(minors)]
+        g = math.gcd(*x) * (1 if x[-1] > 0 else -1)
+        polar.append(tuple(v // g for v in x))
+    verts, tight = clip(polar, [ids - {i} for i in simplex],
+                        [(j, p, 1) for j, p in enumerate(q) if j not in ids])
+    return [(tuple((d + 1) * x for x in v[:-1]), v[-1] + sum(map(operator.mul, v, total)), on)
+            for v, on in zip(verts, tight)]
 
 
 def _pulled_simplices(face: frozenset, facets: list[frozenset]) -> Iterable[list[int]]:
@@ -604,17 +618,14 @@ def _pulled_simplices(face: frozenset, facets: list[frozenset]) -> Iterable[list
                 yield [v] + simplex
 
 
-def volume(points: Sequence[Sequence],
-           inequalities: Optional[Sequence[Halfspace]] = None) -> Fraction:
+def volume(points: Sequence[Sequence]) -> Fraction:
     """Euclidean volume of conv(points) in R^d; 0 when the hull is empty or
     lower-dimensional, and 1 for a point of R^0.
 
     The points are scaled once to integers over a common denominator D; the
     volume is Σ |det(v_1 - v_0, ..., v_d - v_0)| over the simplices of a
-    pulling triangulation, divided by d!·D^d.  Facets come from integer
-    incidence: the points tight on each of `inequalities` when the caller
-    knows the hull's facets (a full-dimensional polytope's own inequalities,
-    with its distinct vertices as the points), else the brute-force
+    pulling triangulation, divided by d!·D^d: d + 1 points are their own
+    simplex, and otherwise the facets, as the points on each, come from
     `_facets`.  No Fraction arithmetic is done.  On a full-dimensional
     polytope in frame coordinates of a saturated frame this is the lattice
     volume.
@@ -625,16 +636,14 @@ def volume(points: Sequence[Sequence],
     if d == 0:
         return Fraction(1)
     den, pts = _integer_points(points)
-    if inequalities is None:
-        pts = list(dict.fromkeys(pts))
-        facets = [on for _, _, on in _facets(pts, d)]
+    pts = list(dict.fromkeys(pts))
+    if len(pts) == d + 1:  # a simplex, or flat with determinant 0
+        simplices = [range(d + 1)]
     else:
-        facets = [frozenset(i for i, v in enumerate(pts) if sum(x * y for x, y in zip(a, v)) == c)
-                  for a, c in (_int_halfspace(*h, den) for h in inequalities)]
-    if not facets:
-        return Fraction(0)
+        facets = [on for _, _, on in _facets(pts, d)]
+        simplices = _pulled_simplices(frozenset(range(len(pts))), facets) if facets else []
     total = 0
-    for simplex in _pulled_simplices(frozenset(range(len(pts))), facets):
+    for simplex in simplices:
         v0 = pts[simplex[0]]
         total += abs(_int_det([tuple(x - y for x, y in zip(pts[i], v0))
                                for i in simplex[1:]]))

@@ -24,8 +24,7 @@ from . import linalg
 from .cocycle import Cocycle
 from .envelope import PeriodicPLFunction, _EnvelopeScan
 from .linalg import Mat, Vec, vec, vsub
-from .polyhedra import (AffineLatticeFrame, Polytope, _reduced, bbox, envelope_clip,
-                        graph_point, hull, volume)
+from .polyhedra import AffineLatticeFrame, Polytope, _reduced, bbox, envelope_atoms, hull
 from .value import Value, setfield
 
 if TYPE_CHECKING:       # `degree` runs none of `ma`, so the measures import it where used
@@ -175,28 +174,20 @@ def _pullback_atoms(face: SkeletonFace, metric: PeriodicPLFunction
     """(y, mass, tie slopes) at each atom of MA(metric∘f_aff) in the
     carrier's relative interior, y in frame coordinates, sorted by y.
 
-    The atoms are the vertices of one lifted clip of the pullback's rows
-    (`_pullback_pieces`) over the carrier's box (`envelope_clip`) that lie in
-    the relative interior, where no box facet is tight, and have positive
-    mass.  A vertex's tight ids are the metric's argmax set at f_aff(y): its
-    mass is the volume of their pulled-back slopes, on frame coordinates of
-    the saturated frame a lattice volume, and its tie slopes are their metric
-    slopes over the scan's denominator.  Only `degree` reads the tie
-    dimension off them (`_tie_dim`).
+    The atoms are those of one lifted clip of the pullback's rows
+    (`_pullback_pieces`) over the carrier's box (`envelope_atoms`) that lie
+    in the relative interior, where no box facet is tight.  An atom's ids are
+    the metric's argmax set at f_aff(y): its mass is the volume of their
+    pulled-back slopes, on frame coordinates of the saturated frame a lattice
+    volume, and its tie slopes are their metric slopes over the scan's
+    denominator.  Only `degree` reads the tie dimension off them (`_tie_dim`).
     """
     scan = metric.scan_for(*_image_box(face))
     den, rows = _pullback_pieces(scan, face)
     carr_y = hull([face.frame.coordinates(v) for v in face.carrier.vertices])
-    out = []
-    for x, tight in zip(*envelope_clip(rows, *carr_y.bbox())):
-        y = graph_point(x)
-        if not carr_y.contains_relint(y):
-            continue
-        ids = [i for i in tight if i >= 0]
-        mass = volume(sorted({rows[i][0] for i in ids})) / den ** face.frame.dim
-        if mass:
-            out.append((y, mass, [scan._ints[i][0] for i in ids]))
-    return sorted(out, key=lambda atom: atom[0])
+    return [(y, mass, [scan._ints[i][0] for i in ids])
+            for y, mass, ids in envelope_atoms(rows, den, *carr_y.bbox())
+            if carr_y.contains_relint(y)]
 
 
 def _tie_dim(n: int, slopes: Sequence[Sequence[int]]) -> int:

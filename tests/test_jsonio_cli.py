@@ -593,6 +593,52 @@ def test_optimized_python_gives_the_same_3d_artifact(tmp_path):
         assert out.read_text(encoding="utf-8") == want
 
 
+def _validate(tmp_path, decomposition, flags=(), timeout=30):
+    """Run `validate --kind decomposition` on the decomposition in a
+    subprocess; returns the completed process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = tmp_path / "decomposition.json"
+    path.write_text(json.dumps(decomposition))
+    return subprocess.run([sys.executable, *flags, "-m", "tropma.cli", "validate",
+                           "--in", str(path), "--kind", "decomposition"],
+                          capture_output=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_validate_rechecks_the_3d_golden_decomposition(tmp_path):
+    # the saved id3 decomposition (8 cells of 10-44 vertices with large
+    # denominators) re-verifies from its vertices alone, each cell rebuilt
+    # by hull, within the 30 s timeout, and python -O gives the same report
+    from pathlib import Path
+
+    from test_golden_approx import golden_path
+
+    data = json.loads(Path(golden_path("id3", 0)).read_text(encoding="utf-8"))
+    outs = []
+    for flags in ([], ["-O"]):
+        p = _validate(tmp_path, data["decomposition"], flags)
+        assert p.returncode == 0, p.stderr
+        outs.append(p.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == {"kind": "decomposition", "valid": True, "periodic": True}
+
+
+def test_validate_rejects_a_huge_cell_by_its_volume(tmp_path):
+    # one cell of volume 5·10^11 for a lattice of covolume 1: the volume
+    # check fails it at once, before any of its translates is listed
+    cocycle = {"b": [[1, 0], [0, 1]], "n": 2, "periods": [[1, 0], [0, 1]],
+               "polarized": True, "z0": ["1/2", "1/2"]}
+    cell = {"vertices": [[0, 0], [10 ** 6, 0], [0, 10 ** 6]]}
+    p = _validate(tmp_path, {"cells": [cell], "cocycle": cocycle}, timeout=10)
+    assert p.returncode == 1, p.stderr
+    assert json.loads(p.stdout) == {"kind": "decomposition", "valid": False, "periodic": False}
+
+
 def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):
     # ma --fundamental, ma --region and degree run the lifted clip and the
     # volume kernel, and ma's mass check; explicit checks all, so python -O

@@ -3,26 +3,51 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropma import AffineLatticeFrame, FrameMismatchError, faces, hull, intersect, lattice_volume
-from tropma.linalg import dot, rank, solve, vsub
+from tropma.linalg import dot, nullspace, rank, solve, vsub
+from tropma.polyhedra import volume
 
 
-def brute_facets_2d(points):
-    """Oracle: facet lines through point pairs with all points on one side."""
-    pts = [tuple(map(F, p)) for p in points]
+def brute_facets(points):
+    """Oracle: the hyperplanes through d of the points, for every d-subset,
+    with all points on one side, normalized; empty when the points span less
+    than R^d."""
+    pts = list(dict.fromkeys(tuple(map(F, p)) for p in points))
+    d = len(pts[0])
+    if rank([vsub(p, pts[0]) for p in pts[1:]]) < d:
+        return set()
     out = set()
-    for p, q in itertools.combinations(pts, 2):
-        a = (q[1] - p[1], -(q[0] - p[0]))
-        if a == (0, 0):
+    for combo in itertools.combinations(pts, d):
+        normals = nullspace([vsub(p, combo[0]) for p in combo[1:]], d)
+        if len(normals) != 1:
             continue
-        c = dot(a, p)
+        a = normals[0]
+        c = dot(a, combo[0])
         vals = [dot(a, x) - c for x in pts]
         if all(v <= 0 for v in vals):
             out.add(_normalize(a, c))
         if all(v >= 0 for v in vals):
             out.add(_normalize(tuple(-x for x in a), -c))
     return out
+
+
+def brute_volume(points):
+    """Oracle: Lasserre's recursion vol(P) = (1/d) Σ_F c_F/|a_F,k|·vol(π_k F)
+    over the oracle's facets a_F·x <= c_F, π_k dropping a coordinate k with
+    a_F,k != 0; 0 when the points span less than R^d, 1 in R^0."""
+    pts = list(dict.fromkeys(tuple(map(F, p)) for p in points))
+    d = len(pts[0])
+    if d == 0:
+        return F(1)
+    total = F(0)
+    for a, c in brute_facets(pts):
+        k = next(j for j, x in enumerate(a) if x)
+        facet = [p[:k] + p[k + 1:] for p in pts if dot(a, p) == c]
+        total += F(c, abs(a[k])) * brute_volume(facet)
+    return total / d
 
 
 def _normalize(a, c):
@@ -50,7 +75,7 @@ class TestHull:
         p = hull(pts)
         assert len(p.inequalities) == 4
         got = {_normalize(a, c) for a, c in p.inequalities}
-        assert got == brute_facets_2d(pts)
+        assert got == brute_facets(pts)
 
     def test_vertices_satisfy_halfspaces_tightly(self):
         p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
@@ -58,6 +83,39 @@ class TestHull:
             assert all(dot(a, v) <= c for v in p.vertices)
             tight = sum(1 for v in p.vertices if dot(a, v) == c)
             assert tight >= p.dim
+
+
+@st.composite
+def point_sets(draw):
+    """Small point sets in R^d, d = 1..4, with duplicates, midpoints (inside
+    an edge when the two are its ends), averages of d points (inside a facet
+    when they span one) and the barycenter, shuffled; a third of those with
+    d >= 2 are flattened onto a hyperplane, so of lower dimension."""
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    pts = [tuple(map(F, p)) for p in
+           draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))]
+    picks = st.lists(st.integers(0, 99), min_size=max(d, 2), max_size=max(d, 2))
+    for kind, idx in draw(st.lists(st.tuples(st.sampled_from("dmab"), picks), max_size=4)):
+        chosen = pts if kind == "b" else \
+            [pts[i % len(pts)] for i in idx[:{"d": 1, "m": 2, "a": d}[kind]]]
+        pts.append(tuple(sum(col) / len(chosen) for col in zip(*chosen)))
+    if d >= 2 and draw(st.integers(0, 2)) == 0:
+        pts = [(*p[:-1], sum(p[:-1]) - 1) for p in pts]
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(point_sets())
+def test_facets_and_volume_match_the_brute_force_oracle(pts):
+    d = len(pts[0])
+    want = brute_facets(pts)
+    p = hull(pts)
+    if p.dim == d:
+        assert {_normalize(a, c) for a, c in p.inequalities} == want
+    else:
+        assert not want
+    assert volume(pts) == brute_volume(pts)
 
 
 class TestIntersect:
