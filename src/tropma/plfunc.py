@@ -29,6 +29,9 @@ from .value import Value, setfield
 # _candidate_ks and _enumerate_entries are re-exported, so that the scan's
 # layers keep the names bench/tracer.py wraps.
 
+# The most shifts `_shifts_meeting` tries per cell (a long thin cell, a σ over many periods).
+MAX_CELL_SHIFTS = 10 ** 4
+
 
 # ---------------------------------------------------------------------------
 # decompositions
@@ -51,8 +54,8 @@ class PeriodicDecomposition(Value):
 def _shifts_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec) -> list[tuple[int, tuple]]:
     """All (cell_index, k) whose translate by λ_k has a bbox meeting the box
     [lo, hi], in order of cell and then of k, on integers over one common
-    denominator.  k ranges over the lattice coordinates of the shifts that
-    carry the cell's bbox onto the box, widened by one."""
+    denominator.  k ranges over the shifts that carry the cell's bbox onto the
+    box, widened by one; past MAX_CELL_SHIFTS of them, a ValueError."""
     c = d.cocycle
     n = c.n
     pden, pinv = _integer_points(_cocycle_quadratic_data(c).period_inv)
@@ -68,6 +71,9 @@ def _shifts_meeting(d: PeriodicDecomposition, lo: Vec, hi: Vec) -> list[tuple[in
             low = sum(m * (a if m > 0 else b) for m, a, b in zip(row, dlo, dhi))
             high = sum(m * (b if m > 0 else a) for m, a, b in zip(row, dlo, dhi))
             ranges.append(range(-(-low // scale) - 1, high // scale + 2))
+        if (count := functools.reduce(operator.mul, map(len, ranges))) > MAX_CELL_SHIFTS:
+            raise ValueError(f"a box spans {count} translates of cell {ci}, past the limit "
+                             f"MAX_CELL_SHIFTS = {MAX_CELL_SHIFTS}")
         for k in itertools.product(*ranges):
             t = [sum(ki * lam[j] for ki, lam in zip(k, lams)) for j in range(n)]
             if boxes_meet(vadd(clo, t), vadd(chi, t), lo, hi):
@@ -115,34 +121,27 @@ def _dim_of_points(pts: Sequence[Vec]) -> int:
 
 
 def check_periodic(d: PeriodicDecomposition) -> bool:
-    """Validate Λ-periodicity of the decomposition given by representatives.
+    """Validate Λ-periodicity of the decomposition given by representatives:
+    the translates tile space (Σ vol(C) = covol(Λ), interiors disjoint) and
+    any two that meet share a common face, so it descends to the torus.
 
-    Checks that the translates tile a fundamental domain exactly (the cell
-    volumes sum to the covolume, interiors pairwise disjoint) and that any
-    two meeting translates intersect in a common face, so the decomposition
-    descends to the torus.
-
-    The volume sum is the volume the translates t = C + λ cover in the
-    fundamental parallelepiped P: Σ_t vol(t ∩ P) = Σ_C Σ_λ vol(C ∩ (P - λ))
-    = Σ_C vol(C), since the translates P - λ tile space, meeting only in
-    sets of measure zero.
+    Σ vol(C) is the volume the translates t = C + λ cover in the fundamental
+    parallelepiped P: Σ_t vol(t ∩ P) = Σ_C Σ_λ vol(C ∩ (P - λ)) = Σ_C vol(C),
+    since the translates P - λ tile space up to measure zero.  A meeting pair
+    (C_i + μ, C_j + ν) is the translate by μ of (C_i, C_j + λ), λ = ν - μ, and
+    of (C_j, C_i - λ) by ν; disjoint interiors and a common face are invariant
+    under translation.  Testing (C_i, C_j + λ_k) for each (j, k) > (i, 0),
+    ordered as tuples, whose bbox meets C_i's (`_shifts_meeting`) tests every
+    meeting pair once.
     """
     c = d.cocycle
-    n = c.n
     if sum(volume(cell.vertices) for cell in d.cells) != c.covolume():
         return False
-    lo, hi = _fundamental_bbox(c)
-
-    # Any intersecting pair in the full complex is a lattice translate of a
-    # pair meeting an inflated fundamental box, provided the collar exceeds
-    # the largest cell width; checking those pairs checks them all.
-    collar = max(b - a for cell in d.cells for a, b in zip(*cell.bbox()))
-    blo = tuple(a - collar for a in lo)
-    bhi = tuple(b + collar for b in hi)
-    near = [t for _, _, t in _translates_meeting(d, blo, bhi)]
-    for i, t1 in enumerate(near):
-        for j in range(i + 1, len(near)):
-            if boxes_meet(*t1.bbox(), *near[j].bbox()) and not _pair_compatible(t1, near[j], n):
+    zero = (0,) * c.n
+    for i, cell in enumerate(d.cells):
+        for j, k in _shifts_meeting(d, *cell.bbox()):
+            if (j, k) > (i, zero) and not _pair_compatible(
+                    cell, d.cells[j].translate(c.lattice_vector(k)), c.n):
                 return False
     return True
 

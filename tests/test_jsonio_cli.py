@@ -610,18 +610,20 @@ def _validate(tmp_path, decomposition, flags=(), timeout=30):
                           env={**os.environ, "PYTHONPATH": str(src)})
 
 
-def test_validate_rechecks_the_3d_golden_decomposition(tmp_path):
-    # the saved id3 decomposition (8 cells of 10-44 vertices with large
-    # denominators) re-verifies from its vertices alone, each cell rebuilt
-    # by hull, within the 30 s timeout, and python -O gives the same report
+@pytest.mark.parametrize("name", ["id3", "skew3"])
+def test_validate_rechecks_the_3d_golden_decomposition(tmp_path, name):
+    # the saved 3-D decompositions (8 cells of 10-44 vertices with large
+    # denominators) re-verify from their vertices alone, each cell rebuilt by
+    # hull and each meeting pair tested once, within 5 s a call, and python -O
+    # gives the same report
     from pathlib import Path
 
     from test_golden_approx import golden_path
 
-    data = json.loads(Path(golden_path("id3", 0)).read_text(encoding="utf-8"))
+    data = json.loads(Path(golden_path(name, 0)).read_text(encoding="utf-8"))
     outs = []
     for flags in ([], ["-O"]):
-        p = _validate(tmp_path, data["decomposition"], flags)
+        p = _validate(tmp_path, data["decomposition"], flags, timeout=5)
         assert p.returncode == 0, p.stderr
         outs.append(p.stdout)
     assert outs[0] == outs[1]
@@ -637,6 +639,26 @@ def test_validate_rejects_a_huge_cell_by_its_volume(tmp_path):
     p = _validate(tmp_path, {"cells": [cell], "cocycle": cocycle}, timeout=10)
     assert p.returncode == 1, p.stderr
     assert json.loads(p.stdout) == {"kind": "decomposition", "valid": False, "periodic": False}
+
+
+def test_validate_refuses_a_long_thin_cell(tmp_path):
+    # area 1 = covol(Z^2) passes the volume check, but the cell's box spans
+    # some 6·10^6 of its translates: refused at MAX_CELL_SHIFTS before any is
+    # listed
+    import time
+
+    from tropma.plfunc import MAX_CELL_SHIFTS
+
+    cocycle = {"b": [[1, 0], [0, 1]], "n": 2, "periods": [[1, 0], [0, 1]],
+               "polarized": True, "z0": ["1/2", "1/2"]}
+    cell = {"vertices": [[0, 0], [10 ** 6, 0], [0, "1/500000"]]}
+    t = time.monotonic()
+    p = _validate(tmp_path, {"cells": [cell], "cocycle": cocycle}, timeout=10)
+    assert time.monotonic() - t < 2
+    assert p.returncode == 1, p.stderr
+    error = json.loads(p.stdout)["error"]
+    assert error["kind"] == "validation"
+    assert f"MAX_CELL_SHIFTS = {MAX_CELL_SHIFTS}" in error["message"]
 
 
 def test_optimized_python_gives_the_same_2d_measures(tmp_path, two_tate):

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -136,3 +137,22 @@ def test_far_sigma(monkeypatch, tmp_path):
                        env={**os.environ, "PYTHONPATH": str(src)})
     assert p.returncode == 0, p.stderr
     assert p.stdout.decode("utf-8") == out.read_text(encoding="utf-8")
+
+
+def test_a_sigma_spanning_a_million_periods_is_refused(tmp_path):
+    # Σ = the edge from (0, 0) to (10^6, 0): its box spans some 3·10^6
+    # translates of each cell, so `approximate` exits 1 with the JSON error
+    # that names MAX_CELL_SHIFTS, before listing any of them
+    req = tmp_path / "far.json"
+    req.write_text(json.dumps({"cocycle": COCYCLES["id2"], "eps": "1/4",
+                               "sigma": [{"vertices": [[0, 0], [10 ** 6, 0]]}]}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    t = time.monotonic()
+    p = subprocess.run([sys.executable, "-m", "tropma.cli", "approximate", "--in", str(req),
+                        "--seed", "1"], capture_output=True, timeout=10,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+    assert time.monotonic() - t < 2
+    assert p.returncode == 1, p.stderr
+    error = json.loads(p.stdout)["error"]
+    assert error["kind"] == "validation"
+    assert f"MAX_CELL_SHIFTS = {plfunc.MAX_CELL_SHIFTS}" in error["message"]
